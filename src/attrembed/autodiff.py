@@ -3,7 +3,14 @@
 Supplies exactly the operations the attention-based embedding model needs:
 1x1 convolution, affine maps, pointwise activations, a spatially flattened
 softmax, attention-weighted pooling, elementwise combine, cosine similarity,
-plus the scalar plumbing required to assemble a training loss.
+plus the plumbing required to assemble a training loss.
+
+The head operations carry an optional leading batch axis: given (n, ...)
+inputs they treat each row independently, and attribute lookups
+(:func:`matrix_column`, :func:`batch_item`) gather by an index array whose
+entries may differ, and repeat, from row to row.  One training batch thus
+records one small graph whatever its size; an unbatched input runs the same
+code with an empty batch shape.
 
 Recording model: operations executed while a :class:`Tape` is active append
 one entry each, in execution order, so the tape is topologically sorted by
@@ -49,10 +56,6 @@ def set_finite_checks(enabled: bool) -> bool:
     previous = _finite_checks
     _finite_checks = bool(enabled)
     return previous
-
-
-def finite_checks_enabled() -> bool:
-    return _finite_checks
 
 
 class Tensor:
@@ -146,10 +149,6 @@ class Tape:
         self._nodes.clear()
 
 
-def active_tape() -> Optional[Tape]:
-    return getattr(_state, "tape", None)
-
-
 @contextmanager
 def recording(tape: Tape):
     """Make ``tape`` the active tape for the calling thread."""
@@ -175,43 +174,63 @@ def _emit(out_data: np.ndarray, backward_fn: Callable[[np.ndarray], None], op: s
 # core operations
 # ---------------------------------------------------------------------------
 
-def conv_1x1(inp: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Pointwise convolution of a (c, h, w) map with a (c_out, c) kernel.
+def _indices(idx, size: int, op: str) -> np.ndarray:
+    """An int or int array of row indices, checked to lie in [0, size)."""
+    arr = np.asarray(idx)
+    if arr.dtype.kind not in "iu":
+        raise ContractError(f"{op}: indices must be integers, got dtype {arr.dtype}")
+    if arr.size and (arr.min() < 0 or arr.max() >= size):
+        raise ContractError(f"{op}: index outside range [0, {size}): {arr.min()}..{arr.max()}")
+    return arr
 
-    out[o, y, x] = sum_c kernel[o, c] * inp[c, y, x]  (+ bias[o])
+
+def conv_1x1(inp: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Pointwise convolution of a (c, h, w) or (n, c, h, w) map with a
+    (c_out, c) kernel.
+
+    out[..., o, y, x] = sum_c kernel[o, c] * inp[..., c, y, x]  (+ bias[o])
     """
-    if inp.data.ndim != 3 or kernel.data.ndim != 2 or kernel.shape[1] != inp.shape[0]:
+    if inp.data.ndim not in (3, 4) or kernel.data.ndim != 2 or kernel.shape[1] != inp.shape[-3]:
         raise dimension_error("conv_1x1", inp.shape, kernel.shape)
-    out = np.tensordot(kernel.data, inp.data, axes=([1], [0]))
+    *lead, c, h, w = inp.shape
+    c_out = kernel.shape[0]
+    x = inp.data.reshape(*lead, c, h * w)
+    out = kernel.data @ x
     if bias is not None:
-        if bias.shape != (kernel.shape[0],):
+        if bias.shape != (c_out,):
             raise dimension_error("conv_1x1 bias", bias.shape, kernel.shape)
-        out = out + bias.data[:, None, None]
+        out = out + bias.data[:, None]
+    # sum over every axis but the channel one
+    reduce_axes = tuple(range(len(lead))) + (-1,)
 
     def backward_fn(g: np.ndarray) -> None:
-        inp.accumulate_grad(np.tensordot(kernel.data, g, axes=([0], [0])))
-        kernel.accumulate_grad(np.tensordot(g, inp.data, axes=([1, 2], [1, 2])))
+        g = g.reshape(*lead, c_out, h * w)
+        inp.accumulate_grad((kernel.data.T @ g).reshape(inp.shape))
+        kernel.accumulate_grad(np.tensordot(g, x, axes=(reduce_axes, reduce_axes)))
         if bias is not None:
-            bias.accumulate_grad(g.sum(axis=(1, 2)))
+            bias.accumulate_grad(g.sum(axis=reduce_axes))
 
-    return _emit(out, backward_fn, "conv_1x1")
+    return _emit(out.reshape(*lead, c_out, h, w), backward_fn, "conv_1x1")
 
 
 def fully_connected(inp: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map of a vector: weight @ inp (+ bias)."""
-    if inp.data.ndim != 1 or weight.data.ndim != 2 or weight.shape[1] != inp.shape[0]:
+    """Affine map of a vector or of each row of an (n, k) matrix:
+    inp @ weight.T (+ bias)."""
+    if inp.data.ndim not in (1, 2) or weight.data.ndim != 2 or weight.shape[1] != inp.shape[-1]:
         raise dimension_error("fully_connected", inp.shape, weight.shape)
-    out = weight.data @ inp.data
+    out = inp.data @ weight.data.T
     if bias is not None:
         if bias.shape != (weight.shape[0],):
             raise dimension_error("fully_connected bias", bias.shape, weight.shape)
         out = out + bias.data
+    rows = inp.data.reshape(-1, inp.shape[-1])
 
     def backward_fn(g: np.ndarray) -> None:
-        inp.accumulate_grad(weight.data.T @ g)
-        weight.accumulate_grad(np.outer(g, inp.data))
+        inp.accumulate_grad(g @ weight.data)
+        g_rows = g.reshape(-1, weight.shape[0])
+        weight.accumulate_grad(g_rows.T @ rows)
         if bias is not None:
-            bias.accumulate_grad(g)
+            bias.accumulate_grad(g_rows.sum(axis=0))
 
     return _emit(out, backward_fn, "fully_connected")
 
@@ -244,48 +263,50 @@ def pointwise_activation(inp: Tensor, kind: str) -> Tensor:
 
 
 def softmax_flat(scores: Tensor) -> Tensor:
-    """Normalize a (1, h, w) score map into (h, w) weights summing to 1.
+    """Normalize a (1, h, w) score map, or each row of an (n, 1, h, w)
+    batch, into (h, w) weights summing to 1.
 
     Numerically stabilized by max subtraction, hence shift-invariant.
     """
-    if scores.data.ndim != 3 or scores.shape[0] != 1:
+    if scores.data.ndim not in (3, 4) or scores.shape[-3] != 1:
         raise dimension_error("softmax_flat", scores.shape)
     if scores.data.size == 0:
         raise dimension_error("softmax_flat (empty spatial extent)", scores.shape)
-    flat = scores.data[0]
-    shifted = flat - flat.max()
-    e = np.exp(shifted)
-    weights = e / e.sum()
+    *lead, _, h, w = scores.shape
+    flat = scores.data.reshape(*lead, h * w)
+    e = np.exp(flat - flat.max(axis=-1, keepdims=True))
+    weights = (e / e.sum(axis=-1, keepdims=True)).reshape(*lead, h, w)
 
     def backward_fn(g: np.ndarray) -> None:
-        inner = (g * weights).sum()
-        scores.accumulate_grad((weights * (g - inner))[None, :, :])
+        inner = (g * weights).sum(axis=(-2, -1), keepdims=True)
+        scores.accumulate_grad((weights * (g - inner))[..., None, :, :])
 
     return _emit(weights, backward_fn, "softmax_flat")
 
 
 def weighted_spatial_sum(features: Tensor, weights: Tensor) -> Tensor:
-    """Pool a (c, h, w) map into a length-c vector with (h, w) weights.
+    """Pool a (c, h, w) map into a length-c vector with (h, w) weights, or
+    each row of an (n, c, h, w) batch with its own (n, h, w) weights.
 
-    out[k] = sum_j weights[j] * features[k, j] over all spatial locations.
+    out[..., k] = sum_j weights[..., j] * features[..., k, j] over all
+    spatial locations.
     """
-    if (
-        features.data.ndim != 3
-        or weights.data.ndim != 2
-        or features.shape[1:] != weights.shape
-    ):
+    if features.data.ndim not in (3, 4) or weights.shape != features.shape[:-3] + features.shape[-2:]:
         raise dimension_error("weighted_spatial_sum", features.shape, weights.shape)
-    out = np.tensordot(features.data, weights.data, axes=([1, 2], [0, 1]))
+    *lead, c, h, w = features.shape
+    f = features.data.reshape(*lead, c, h * w)
+    out = (f @ weights.data.reshape(*lead, h * w, 1))[..., 0]
 
     def backward_fn(g: np.ndarray) -> None:
-        features.accumulate_grad(g[:, None, None] * weights.data[None, :, :])
-        weights.accumulate_grad(np.tensordot(g, features.data, axes=([0], [0])))
+        features.accumulate_grad(g[..., :, None, None] * weights.data[..., None, :, :])
+        weights.accumulate_grad((g[..., None, :] @ f).reshape(weights.shape))
 
     return _emit(out, backward_fn, "weighted_spatial_sum")
 
 
-def elementwise_combine(a: Tensor, b: Tensor, kind: str, axis: int = 0) -> Tensor:
-    """Hadamard product (``mul``) or contiguous join (``concat``) of two tensors."""
+def elementwise_combine(a: Tensor, b: Tensor, kind: str, axis: int = -1) -> Tensor:
+    """Hadamard product (``mul``) or contiguous join (``concat``, by default
+    along the last axis) of two tensors."""
     if kind == "mul":
         if a.shape != b.shape:
             raise dimension_error("elementwise_combine[mul]", a.shape, b.shape)
@@ -301,7 +322,7 @@ def elementwise_combine(a: Tensor, b: Tensor, kind: str, axis: int = 0) -> Tenso
         if a.data.ndim != b.data.ndim or any(
             sa != sb
             for i, (sa, sb) in enumerate(zip(a.shape, b.shape))
-            if i != axis
+            if i != axis % a.data.ndim
         ):
             raise dimension_error("elementwise_combine[concat]", a.shape, b.shape)
         out = np.concatenate([a.data, b.data], axis=axis)
@@ -318,39 +339,44 @@ def elementwise_combine(a: Tensor, b: Tensor, kind: str, axis: int = 0) -> Tenso
 
 
 def mean_pool_spatial(features: Tensor) -> Tensor:
-    """Arithmetic mean per channel of a (c, h, w) map.
+    """Arithmetic mean per channel of a (c, h, w) map or of each row of an
+    (n, c, h, w) batch.
 
     Implemented as a weighted spatial sum with uniform weights so the two
     pooling paths agree bitwise.
     """
-    if features.data.ndim != 3:
+    if features.data.ndim not in (3, 4):
         raise dimension_error("mean_pool_spatial", features.shape)
-    h, w = features.shape[1], features.shape[2]
-    uniform = Tensor(np.full((h, w), 1.0 / (h * w), dtype=features.dtype))
+    *lead, _, h, w = features.shape
+    uniform = Tensor(np.full((*lead, h, w), 1.0 / (h * w), dtype=features.dtype))
     return weighted_spatial_sum(features, uniform)
 
 
 def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
-    """Cosine of the angle between two nonzero vectors, as a scalar tensor.
+    """Cosine of the angle between two nonzero vectors, as a scalar tensor,
+    or between matching rows of two (n, d) matrices, as a length-n vector.
 
-    A norm below 1e-12 raises DegenerateVectorError: training should never
-    produce such a vector, so surfacing it is diagnostic.
+    A norm below 1e-12 in any row raises DegenerateVectorError: training
+    should never produce such a vector, so surfacing it is diagnostic.
     """
-    if u.data.ndim != 1 or u.shape != v.shape:
+    if u.data.ndim not in (1, 2) or u.shape != v.shape:
         raise dimension_error("cosine_similarity", u.shape, v.shape)
-    nu = float(np.linalg.norm(u.data))
-    nv = float(np.linalg.norm(v.data))
-    if nu < NORM_FLOOR or nv < NORM_FLOOR:
+    nu = np.linalg.norm(u.data, axis=-1)
+    nv = np.linalg.norm(v.data, axis=-1)
+    degenerate = np.flatnonzero((nu < NORM_FLOOR) | (nv < NORM_FLOOR))
+    if degenerate.size:
+        row = int(degenerate[0])
+        where = f" in row {row}" if u.data.ndim == 2 else ""
         raise DegenerateVectorError(
-            f"cosine_similarity: vector norm below {NORM_FLOOR} (|u|={nu:.3e}, |v|={nv:.3e})"
+            f"cosine_similarity: vector norm below {NORM_FLOOR}{where} "
+            f"(|u|={float(nu.reshape(-1)[row]):.3e}, |v|={float(nv.reshape(-1)[row]):.3e})"
         )
-    dot = float(u.data @ v.data)
-    cos = dot / (nu * nv)
+    cos = (u.data * v.data).sum(axis=-1) / (nu * nv)
 
     def backward_fn(g: np.ndarray) -> None:
-        s = float(g)
-        u.accumulate_grad(s * (v.data / (nu * nv) - cos * u.data / (nu * nu)))
-        v.accumulate_grad(s * (u.data / (nu * nv) - cos * v.data / (nv * nv)))
+        s, cu, cv, c = g[..., None], nu[..., None], nv[..., None], cos[..., None]
+        u.accumulate_grad(s * (v.data / (cu * cv) - c * u.data / (cu * cu)))
+        v.accumulate_grad(s * (u.data / (cu * cv) - c * v.data / (cv * cv)))
 
     return _emit(np.asarray(cos, dtype=u.dtype), backward_fn, "cosine_similarity")
 
@@ -359,46 +385,48 @@ def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
 # plumbing operations used to assemble models and losses
 # ---------------------------------------------------------------------------
 
-def matrix_column(weight: Tensor, j: int) -> Tensor:
-    """Column j of a matrix; the lookup form of multiplying by a one-hot vector."""
+def matrix_column(weight: Tensor, j) -> Tensor:
+    """Column j of a matrix; the lookup form of multiplying by a one-hot
+    vector.  An (n,) index array gathers n columns as the rows of an
+    (n, rows) matrix; repeated indices are allowed."""
     if weight.data.ndim != 2:
         raise dimension_error("matrix_column", weight.shape)
-    if not 0 <= j < weight.shape[1]:
-        raise ContractError(f"matrix_column: column {j} outside matrix with {weight.shape[1]} columns")
-    out = weight.data[:, j].copy()
+    j = _indices(j, weight.shape[1], "matrix_column")
+    out = np.take(weight.data.T, j, axis=0)
 
     def backward_fn(g: np.ndarray) -> None:
         full = np.zeros_like(weight.data)
-        full[:, j] = g
+        np.add.at(full.T, j, g)  # repeated columns accumulate
         weight.accumulate_grad(full)
 
     return _emit(out, backward_fn, "matrix_column")
 
 
 def broadcast_spatial(vec: Tensor, h: int, w: int) -> Tensor:
-    """Duplicate a length-c vector over an h x w grid, giving (c, h, w)."""
-    if vec.data.ndim != 1:
+    """Duplicate a length-c vector over an h x w grid, giving (c, h, w);
+    an (n, c) matrix gives (n, c, h, w)."""
+    if vec.data.ndim not in (1, 2):
         raise dimension_error("broadcast_spatial", vec.shape)
-    out = np.broadcast_to(vec.data[:, None, None], (vec.shape[0], h, w)).copy()
+    out = np.broadcast_to(vec.data[..., None, None], (*vec.shape, h, w)).copy()
 
     def backward_fn(g: np.ndarray) -> None:
-        vec.accumulate_grad(g.sum(axis=(1, 2)))
+        vec.accumulate_grad(g.sum(axis=(-2, -1)))
 
     return _emit(out, backward_fn, "broadcast_spatial")
 
 
-def batch_item(batch: Tensor, i: int) -> Tensor:
-    """Select item i from a batched tensor (first axis)."""
+def batch_item(batch: Tensor, i) -> Tensor:
+    """Select item i from a batched tensor (first axis); an index array
+    gathers several items, repeated indices allowed."""
     if batch.data.ndim < 2:
         raise dimension_error("batch_item", batch.shape)
-    if not 0 <= i < batch.shape[0]:
-        raise ContractError(f"batch_item: index {i} outside batch of {batch.shape[0]}")
-    out = batch.data[i].copy()
+    i = _indices(i, batch.shape[0], "batch_item")
+    out = np.take(batch.data, i, axis=0)
 
     def backward_fn(g: np.ndarray) -> None:
         if batch.grad is None:
             batch.grad = np.zeros_like(batch.data)
-        batch.grad[i] += g
+        np.add.at(batch.grad, i, g)  # repeated items accumulate
 
     return _emit(out, backward_fn, "batch_item")
 
@@ -416,6 +444,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise a - b, on scalars or row-wise on vectors."""
     if a.shape != b.shape:
         raise dimension_error("subtract", a.shape, b.shape)
     out = a.data - b.data
@@ -445,20 +474,15 @@ def scale(a: Tensor, k: float) -> Tensor:
     return _emit(out, backward_fn, "scale")
 
 
-def scalar_mean(terms: Sequence[Tensor]) -> Tensor:
-    """Mean of scalar tensors, as a scalar tensor."""
-    if not terms:
-        raise ContractError("scalar_mean of no terms")
-    for t in terms:
-        if t.data.ndim != 0:
-            raise dimension_error("scalar_mean", t.shape)
-    n = len(terms)
-    out = np.asarray(sum(float(t.data) for t in terms) / n, dtype=terms[0].dtype)
+def scalar_mean(terms: Tensor) -> Tensor:
+    """Mean of the entries of a nonempty vector tensor, as a scalar tensor."""
+    if terms.data.ndim != 1 or terms.shape[0] == 0:
+        raise dimension_error("scalar_mean (nonempty vector)", terms.shape)
+    n = terms.shape[0]
+    out = np.asarray(terms.data.mean(), dtype=terms.dtype)
 
     def backward_fn(g: np.ndarray) -> None:
-        share = g / n
-        for t in terms:
-            t.accumulate_grad(np.asarray(share, dtype=t.dtype))
+        terms.accumulate_grad(np.full_like(terms.data, g / n))
 
     return _emit(out, backward_fn, "scalar_mean")
 

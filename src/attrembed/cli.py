@@ -57,12 +57,12 @@ from .model import VARIANTS, AttributeEmbeddingModel, ModelConfig, write_attenti
 from .training import (
     Checkpoint,
     TrainConfig,
+    batch_triplet_loss,
     config_fingerprint,
     fit,
     load_checkpoint,
     sample_triplets,
     save_checkpoint,
-    triplet_margin_loss,
 )
 
 CHECKPOINT_NAME = "checkpoint.bin"
@@ -197,16 +197,21 @@ def build_model(resolved: dict[str, str], n_attributes: int) -> AttributeEmbeddi
     return AttributeEmbeddingModel(config, backbone, seed=seed, dtype=dtype)
 
 
-def load_images_for(manifest: DatasetManifest, manifest_path: str) -> dict[str, np.ndarray]:
+def load_images_for(
+    manifest: DatasetManifest, manifest_path: str, splits: Sequence[str]
+) -> dict[str, np.ndarray]:
+    """Read the images, or precomputed feature maps, of the records in the
+    given splits; records of other splits are never opened."""
     base = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), manifest.source_path)
+    wanted = [r.image_id for r in manifest.records if manifest.split_of.get(r.image_id) in splits]
     if manifest.source_kind == "raster":
-        return {r.image_id: read_ppm(os.path.join(base, r.image_id + ".ppm")) for r in manifest.records}
-    known = {r.image_id for r in manifest.records}
-    loaded = dict(load_precomputed_features(base))
+        return {image_id: read_ppm(os.path.join(base, image_id + ".ppm")) for image_id in wanted}
+    known = set(wanted)
+    loaded = {k: v for k, v in load_precomputed_features(base) if k in known}
     missing = known - set(loaded)
     if missing:
         raise FormatError(f"features missing for {len(missing)} images, e.g. {sorted(missing)[:3]}")
-    return {k: v for k, v in loaded.items() if k in known}
+    return loaded
 
 
 def load_run(run_dir: str, n_attributes: int) -> tuple[AttributeEmbeddingModel, Checkpoint]:
@@ -299,7 +304,7 @@ def cmd_train(args) -> int:
     full.setdefault("dtype", model.dtype.name)
     full.setdefault("seed", str(config.seed))
     announce("train", full)
-    images = load_images_for(manifest, args.manifest)
+    images = load_images_for(manifest, args.manifest, ("train", "val"))
     val_split = manifest.to_retrieval_split("val")
     out = _outdir(args)
 
@@ -334,7 +339,7 @@ def cmd_eval_map(args) -> int:
     announce("eval-map", {"split": split_name, "run": args.run})
     manifest = load_manifest(args.manifest)
     model, checkpoint = load_run(args.run, manifest.vocabulary.n)
-    images = load_images_for(manifest, args.manifest)
+    images = load_images_for(manifest, args.manifest, (split_name,))
     split = manifest.to_retrieval_split(split_name)
     report = evaluate_map(
         ModelScorer(model, images),
@@ -359,7 +364,7 @@ def cmd_eval_triplet(args) -> int:
     announce("eval-triplet", {"split": split_name, "count": str(count), "seed": str(seed)})
     manifest = load_manifest(args.manifest)
     model, _ = load_run(args.run, manifest.vocabulary.n)
-    images = load_images_for(manifest, args.manifest)
+    images = load_images_for(manifest, args.manifest, (split_name,))
     triplets = sample_triplets(
         manifest.annotations(split_name), manifest.vocabulary.n, count, seed,
         attribute_names=manifest.vocabulary.names,
@@ -384,7 +389,7 @@ def cmd_rerank(args) -> int:
     manifest = load_manifest(args.manifest)
     model, _ = load_run(args.run, manifest.vocabulary.n)
     base_model, _ = load_run(args.base_run, manifest.vocabulary.n)
-    images = load_images_for(manifest, args.manifest)
+    images = load_images_for(manifest, args.manifest, (split_name,))
     split = manifest.to_retrieval_split(split_name)
     fine = ModelScorer(model, images)
     coarse = ModelScorer(base_model, images)
@@ -445,7 +450,7 @@ def cmd_export_attention(args) -> int:
     announce("export-attention", {"split": split_name, "limit": str(limit)})
     manifest = load_manifest(args.manifest)
     model, _ = load_run(args.run, manifest.vocabulary.n)
-    images = load_images_for(manifest, args.manifest)
+    images = load_images_for(manifest, args.manifest, (split_name,))
     out = _outdir(args)
     attn_dir = os.path.join(out, "attention")
     os.makedirs(attn_dir, exist_ok=True)
@@ -494,13 +499,11 @@ def cmd_grad_check(args) -> int:
     anchor, positive, negative = (rng.normal(size=shape) for _ in range(3))
     attribute = int(rng.integers(config.n_attributes))
 
+    maps = np.stack([anchor, positive, negative])
+
     def loss_fn():
-        e_a = model.embed_map(Tensor(anchor.copy()), attribute)
-        e_p = model.embed_map(Tensor(positive.copy()), attribute)
-        e_n = model.embed_map(Tensor(negative.copy()), attribute)
-        s_pos = ad.cosine_similarity(e_a, e_p)
-        s_neg = ad.cosine_similarity(e_a, e_n)
-        return triplet_margin_loss(s_pos, s_neg, 0.2)
+        # the batched graph train_epoch records, for a batch of one triplet
+        return batch_triplet_loss(model, Tensor(maps.copy()), np.array([attribute]), 0.2)
 
     report = ad.grad_check(loss_fn, model.parameters())
     print(report.summary())

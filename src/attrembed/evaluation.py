@@ -21,7 +21,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DegenerateVectorError, ExcludedQueryError
+from .autodiff import Tensor
+from .errors import ContractError, DegenerateVectorError, ExcludedQueryError, VocabularyError
 from .model import AttributeEmbeddingModel
 from .training import Triplet
 
@@ -172,8 +173,10 @@ def expected_random_map(split: RetrievalSplit) -> float:
 class ModelScorer:
     """Cosine scorer over cached unit-normalized model embeddings.
 
-    One embedding per (image, attribute) pair is computed on demand and
-    reused across queries, candidates, and triplet evaluation.
+    The first lookup of an image runs the backbone on it once and embeds
+    the feature map under every attribute in one batched head call; every
+    (image, attribute) embedding is then reused across queries, candidates,
+    and triplet evaluation.
     """
 
     def __init__(self, model: AttributeEmbeddingModel, images: Mapping[str, np.ndarray]):
@@ -186,15 +189,21 @@ class ModelScorer:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        vec = self.model.embed_image(self.images[image_id], attribute).data
-        norm = float(np.linalg.norm(vec))
-        if norm < 1e-12:
+        if not 0 <= attribute < self.model.config.n_attributes:
+            raise VocabularyError(
+                f"attribute index {attribute} outside vocabulary of {self.model.config.n_attributes}"
+            )
+        image = Tensor(np.asarray(self.images[image_id], dtype=self.model.dtype))
+        vectors = self.model.embed_attributes(self.model.image_to_map(image)).data
+        norms = np.linalg.norm(vectors, axis=1)
+        for a, (vec, norm) in enumerate(zip(vectors, norms)):
+            if norm >= 1e-12:  # degenerate rows stay uncached and raise when asked for
+                self._cache[(image_id, a)] = (vec / norm).astype(np.float64)
+        if norms[attribute] < 1e-12:
             raise DegenerateVectorError(
                 f"embedding of {image_id!r} under attribute {attribute} has near-zero norm"
             )
-        unit = (vec / norm).astype(np.float64)
-        self._cache[key] = unit
-        return unit
+        return self._cache[key]
 
     def __call__(self, query_id: str, attribute: int, candidate_ids: Sequence[str]) -> np.ndarray:
         q = self.unit_embedding(query_id, attribute)

@@ -241,24 +241,36 @@ class AttributeEmbeddingModel:
 
     # -- forward pieces -----------------------------------------------------
 
-    def _check_attribute(self, attribute: int) -> None:
-        if not 0 <= attribute < self.config.n_attributes:
-            raise VocabularyError(
-                f"attribute index {attribute} outside vocabulary of "
-                f"{self.config.n_attributes}"
-            )
+    def _attributes(self, attribute, batch_shape: tuple) -> np.ndarray:
+        """Attribute indices as an array of the batch shape: an int for one
+        map, an (n,) array for an (n, ...) batch."""
+        attrs = np.asarray(attribute)
+        if attrs.dtype.kind not in "iu":
+            raise VocabularyError(f"attribute indices must be integers, got {attribute!r}")
+        if attrs.shape != tuple(batch_shape):
+            raise dimension_error("attribute indices", attrs.shape, tuple(batch_shape))
+        n = self.config.n_attributes
+        if attrs.size and (attrs.min() < 0 or attrs.max() >= n):
+            bad = attrs[(attrs < 0) | (attrs >= n)].reshape(-1)[0]
+            raise VocabularyError(f"attribute index {bad} outside vocabulary of {n}")
+        return attrs
 
-    def spatial_attention(self, feature_map: Tensor, attribute: int) -> tuple[Tensor, Tensor]:
-        """Attribute-conditioned softmax pooling of a (c, h, w) map.
+    def _check_map(self, feature_map: Tensor, where: str) -> None:
+        if feature_map.data.ndim not in (3, 4) or feature_map.shape[-3] != self.config.channels:
+            raise dimension_error(where, feature_map.shape, (self.config.channels, "h", "w"))
+
+    def spatial_attention(self, feature_map: Tensor, attribute) -> tuple[Tensor, Tensor]:
+        """Attribute-conditioned softmax pooling of a (c, h, w) map, or of
+        each row of an (n, c, h, w) batch under its own attribute.
 
         Image and attribute are mapped into a common space, multiplied, and
         scored per location; the softmax of the scores weights the original
-        feature columns.  Returns (pooled vector, h x w attention weights).
+        feature columns.  Returns (pooled vector, h x w attention weights),
+        each with the map's batch axis.
         """
-        self._check_attribute(attribute)
-        c, h, w = feature_map.shape
-        if c != self.config.channels:
-            raise dimension_error("spatial_attention", feature_map.shape, (self.config.channels,))
+        self._check_map(feature_map, "spatial_attention")
+        attrs = self._attributes(attribute, feature_map.shape[:-3])
+        h, w = feature_map.shape[-2:]
         if h * w == 1:
             warnings.warn(
                 "spatial attention on a 1x1 map degenerates to identity pooling",
@@ -269,7 +281,7 @@ class AttributeEmbeddingModel:
             "tanh",
         )
         attr_vec = ad.pointwise_activation(
-            ad.matrix_column(self.spatial_attr_embed.tensor, attribute), "tanh"
+            ad.matrix_column(self.spatial_attr_embed.tensor, attrs), "tanh"
         )
         attr_map = ad.broadcast_spatial(attr_vec, h, w)
         fused = ad.elementwise_combine(attr_map, mapped, "mul")
@@ -285,14 +297,15 @@ class AttributeEmbeddingModel:
     def _bias(p: Optional[Parameter]) -> Optional[Tensor]:
         return None if p is None else p.tensor
 
-    def channel_attention(self, pooled: Tensor, attribute: int) -> tuple[Tensor, Tensor]:
-        """Sigmoid gate over a pooled length-c vector, conditioned on the
-        attribute.  Returns (gated vector, gate weights in (0, 1))."""
-        self._check_attribute(attribute)
-        if pooled.shape != (self.config.channels,):
+    def channel_attention(self, pooled: Tensor, attribute) -> tuple[Tensor, Tensor]:
+        """Sigmoid gate over a pooled length-c vector, or over each row of an
+        (n, c) batch, conditioned on the attribute.  Returns (gated vector,
+        gate weights in (0, 1))."""
+        if pooled.data.ndim not in (1, 2) or pooled.shape[-1] != self.config.channels:
             raise dimension_error("channel_attention", pooled.shape, (self.config.channels,))
+        attrs = self._attributes(attribute, pooled.shape[:-1])
         attr_vec = ad.pointwise_activation(
-            ad.matrix_column(self.channel_attr_embed.tensor, attribute), "relu"
+            ad.matrix_column(self.channel_attr_embed.tensor, attrs), "relu"
         )
         joined = ad.elementwise_combine(attr_vec, pooled, "concat")
         hidden = ad.pointwise_activation(
@@ -307,52 +320,60 @@ class AttributeEmbeddingModel:
     def project(self, vec: Tensor) -> Tensor:
         return ad.fully_connected(vec, self.proj.tensor, self.proj_bias.tensor)
 
-    def embed_map(self, feature_map: Tensor, attribute: int) -> Tensor:
-        """Embed a (c, h, w) feature map into the attribute's space,
-        following the configured variant."""
-        self._check_attribute(attribute)
+    def embed_map(self, feature_map: Tensor, attribute) -> Tensor:
+        """Embed a (c, h, w) feature map into the attribute's space, or each
+        row of an (n, c, h, w) batch into the space of its entry in an (n,)
+        attribute array, following the configured variant."""
+        self._check_map(feature_map, "embed_map")
+        attrs = self._attributes(attribute, feature_map.shape[:-3])
         variant = self.config.variant
         if variant == "full":
-            pooled, _ = self.spatial_attention(feature_map, attribute)
-            gated, _ = self.channel_attention(pooled, attribute)
+            pooled, _ = self.spatial_attention(feature_map, attrs)
+            gated, _ = self.channel_attention(pooled, attrs)
             return self.project(gated)
         if variant == "no_asa":
             pooled = ad.mean_pool_spatial(feature_map)
-            gated, _ = self.channel_attention(pooled, attribute)
+            gated, _ = self.channel_attention(pooled, attrs)
             return self.project(gated)
         if variant == "no_aca":
-            pooled, _ = self.spatial_attention(feature_map, attribute)
+            pooled, _ = self.spatial_attention(feature_map, attrs)
             return self.project(pooled)
         if variant == "triplet_plain":
             return self.project(ad.mean_pool_spatial(feature_map))
         # csn: shared projection masked by the attribute's row of the mask
         shared = self.project(ad.mean_pool_spatial(feature_map))
-        row = ad.batch_item(self.mask.tensor, attribute)
+        row = ad.batch_item(self.mask.tensor, attrs)
         return ad.elementwise_combine(shared, row, "mul")
 
     def image_to_map(self, image: Tensor) -> Tensor:
-        """Run the backbone, or pass a precomputed map through unchanged."""
+        """Run the backbone over one (3, h, w) image or an (n, 3, h, w)
+        batch, or pass precomputed maps through unchanged."""
         if self.backbone is None:
-            if self.backbone_config is not None and image.shape != self.backbone_config.map_shape:
+            if self.backbone_config is not None and image.shape[-3:] != self.backbone_config.map_shape:
                 raise dimension_error(
                     "precomputed feature map", image.shape, self.backbone_config.map_shape
                 )
-            if len(image.shape) != 3 or image.shape[0] != self.config.channels:
-                raise dimension_error(
-                    "feature map", image.shape, (self.config.channels, "h", "w")
-                )
+            self._check_map(image, "feature map")
             return image
+        if image.data.ndim == 4:
+            return self.backbone.forward_batch(image)
         return self.backbone.forward(image)
 
-    def batch_to_maps(self, batch: Tensor) -> list[Tensor]:
-        """Split a batched input into per-item feature maps, running the
-        backbone once over the whole batch when one is present."""
-        maps = self.backbone.forward_batch(batch) if self.backbone is not None else batch
-        return [ad.batch_item(maps, i) for i in range(maps.shape[0])]
-
-    def embed_image(self, image, attribute: int) -> Tensor:
+    def embed_image(self, image, attribute) -> Tensor:
         x = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=self.dtype))
         return self.embed_map(self.image_to_map(x), attribute)
+
+    def embed_attributes(self, feature_map: Tensor) -> Tensor:
+        """Embeddings of one (c, h, w) map under every attribute, as an
+        (n_attributes, d) tensor from one batched head call.  For inference:
+        the per-attribute copies of the map are made off the tape."""
+        return self.embed_map(*self._per_attribute(feature_map))
+
+    def _per_attribute(self, feature_map: Tensor) -> tuple[Tensor, np.ndarray]:
+        self._check_map(feature_map, "per-attribute batch")
+        n = self.config.n_attributes
+        copies = np.broadcast_to(feature_map.data, (n, *feature_map.shape)).copy()
+        return Tensor(copies), np.arange(n)
 
     # -- similarity and attention export ------------------------------------
 
@@ -371,11 +392,11 @@ class AttributeEmbeddingModel:
 
     def attention_maps(self, feature_map: Tensor, image_id: str = "") -> list[AttentionMap]:
         """Spatial attention weights for every attribute, as plain arrays."""
-        out = []
-        for a in range(self.config.n_attributes):
-            _, weights = self.spatial_attention(feature_map, a)
-            out.append(AttentionMap(weights=weights.data.copy(), attribute=a, image_id=image_id))
-        return out
+        _, weights = self.spatial_attention(*self._per_attribute(feature_map))
+        return [
+            AttentionMap(weights=w, attribute=a, image_id=image_id)
+            for a, w in enumerate(weights.data)
+        ]
 
 
 def write_attention_file(path, image_id: str, maps: Sequence[AttentionMap], vocab: AttributeVocabulary) -> None:

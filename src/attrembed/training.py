@@ -3,8 +3,9 @@
 A triplet fixes one attribute: anchor and positive share that attribute's
 value, the negative differs on it.  Other attributes play no role in the
 comparison.  The loss per triplet is the margin hinge on the cosine
-similarities in the attribute's embedding space; a batch averages its
-triplets' hinges, backpropagates once, and applies one Adam step.
+similarities in the attribute's embedding space; a batch embeds all its
+images in one batched graph, averages its triplets' hinges, backpropagates
+once, and applies one Adam step.
 
 Model selection keeps the snapshot with the best validation metric, ties
 going to the earliest epoch.  Epochs are numbered from 1 in logs and
@@ -146,7 +147,8 @@ def sample_triplets(
 
 
 def triplet_margin_loss(s_pos: Tensor, s_neg: Tensor, margin: float) -> Tensor:
-    """Hinge max{0, margin - s_pos + s_neg} as a graph scalar."""
+    """Hinge max{0, margin - s_pos + s_neg} on graph scalars, or row-wise
+    on vectors of similarities."""
     gap = ad.add_constant(ad.subtract(s_neg, s_pos), margin)
     return ad.pointwise_activation(gap, "relu")
 
@@ -195,9 +197,25 @@ def adam_step(
 # -- epoch loop -------------------------------------------------------------
 
 
-def _batch_maps(model: AttributeEmbeddingModel, arrays: list[np.ndarray]) -> list[Tensor]:
-    stacked = Tensor(np.stack(arrays).astype(model.dtype, copy=False))
-    return model.batch_to_maps(stacked)
+def batch_triplet_loss(
+    model: AttributeEmbeddingModel, maps: Tensor, attributes: np.ndarray, margin: float
+) -> Tensor:
+    """Mean hinge over a batch of b triplets as one graph.
+
+    ``maps`` stacks the b anchor maps, then the b positives, then the b
+    negatives, (3b, c, h, w); ``attributes`` holds each triplet's attribute,
+    (b,).  The head embeds all 3b maps in one call.
+    """
+    b = len(attributes)
+    if maps.shape[0] != 3 * b:
+        raise ContractError(f"batch_triplet_loss: {maps.shape[0]} maps for {b} triplets")
+    embedded = model.embed_map(maps, np.tile(attributes, 3))
+    anchor, positive, negative = (
+        ad.batch_item(embedded, np.arange(k * b, (k + 1) * b)) for k in range(3)
+    )
+    s_pos = ad.cosine_similarity(anchor, positive)
+    s_neg = ad.cosine_similarity(anchor, negative)
+    return ad.scalar_mean(triplet_margin_loss(s_pos, s_neg, margin))
 
 
 def train_epoch(
@@ -208,29 +226,29 @@ def train_epoch(
     state: OptimizerState,
     lr: float,
 ) -> float:
-    """One pass over the triplets in batches; returns the mean hinge loss."""
+    """One pass over the triplets in batches; returns the mean hinge loss.
+
+    Each batch runs the backbone once over its 3b images and records one
+    graph (:func:`batch_triplet_loss`), then takes one Adam step.
+    """
     if not triplets:
         raise ContractError("train_epoch needs at least one triplet")
     total = 0.0
     for start in range(0, len(triplets), config.batch_size):
         batch = triplets[start : start + config.batch_size]
         batch_index = start // config.batch_size
+        image_ids = (
+            [t.anchor_id for t in batch]
+            + [t.positive_id for t in batch]
+            + [t.negative_id for t in batch]
+        )
+        attributes = np.array([t.attribute for t in batch])
         tape = Tape()
         try:
             with recording(tape):
-                arrays = []
-                for t in batch:
-                    arrays.extend((images[t.anchor_id], images[t.positive_id], images[t.negative_id]))
-                maps = _batch_maps(model, arrays)
-                losses = []
-                for i, t in enumerate(batch):
-                    e_anchor = model.embed_map(maps[3 * i], t.attribute)
-                    e_pos = model.embed_map(maps[3 * i + 1], t.attribute)
-                    e_neg = model.embed_map(maps[3 * i + 2], t.attribute)
-                    s_pos = ad.cosine_similarity(e_anchor, e_pos)
-                    s_neg = ad.cosine_similarity(e_anchor, e_neg)
-                    losses.append(triplet_margin_loss(s_pos, s_neg, config.margin))
-                batch_loss = ad.scalar_mean(losses)
+                stacked = Tensor(np.stack([images[i] for i in image_ids]).astype(model.dtype, copy=False))
+                maps = model.image_to_map(stacked)
+                batch_loss = batch_triplet_loss(model, maps, attributes, config.margin)
             if not np.isfinite(batch_loss.data):
                 raise NumericalError("non-finite batch loss")
             model.zero_grads()

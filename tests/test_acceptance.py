@@ -5,7 +5,7 @@ normalization, retrieval metrics, the hand-worked chain).  Criteria 5 to 9
 share one frozen experiment: the default synthetic dataset, 30 epochs per
 variant, three seeds each for the full model and the plain-triplet
 baseline.  The experiment runs once, in a module fixture; expect roughly
-ten to fifteen minutes of wall time for this file.
+three to five minutes of wall time for this file.
 
 Each test prints a single "criterion N: PASS/FAIL (detail)" line on the
 real stdout so the verdicts survive output capture.

@@ -139,7 +139,7 @@ class TestOperatorValues:
 
     def test_scalar_reducers(self):
         terms = [Tensor(np.asarray(v)) for v in (1.0, 2.0, 6.0)]
-        assert float(ad.scalar_mean(terms).data) == 3.0
+        assert float(ad.scalar_mean(Tensor([1.0, 2.0, 6.0])).data) == 3.0
         assert float(ad.scalar_sum(terms).data) == 9.0
         assert float(ad.tensor_sum(Tensor([[1.0, 2.0], [3.0, 4.0]])).data) == 10.0
 
@@ -338,3 +338,176 @@ class TestTapeMechanics:
             assert np.isinf(out.data[0])
         finally:
             ad.set_finite_checks(previous)
+
+
+def weighted_total(t, rng):
+    """Scalar sum of t against fixed random weights, so every entry of t
+    reaches the loss with its own coefficient."""
+    weights = Tensor(rng.normal(size=t.shape))
+    return ad.tensor_sum(ad.elementwise_combine(t, weights, "mul"))
+
+
+class TestBatchedOps:
+    """The head operations on a leading batch axis: float64 gradients
+    against central differences, and each row equal to the unbatched op."""
+
+    def check(self, build_loss, arrays):
+        params = [Parameter(a.copy(), name=f"p{i}") for i, a in enumerate(arrays)]
+        report = grad_check(lambda: build_loss(*[p.tensor for p in params]), params)
+        assert report.passed, report.summary()
+
+    def test_conv_1x1(self, rng):
+        self.check(
+            lambda x, k, b: weighted_total(ad.conv_1x1(x, k, b), np.random.default_rng(1)),
+            [rng.normal(size=(3, 4, 2, 3)), rng.normal(size=(5, 4)), rng.normal(size=5)],
+        )
+        x, k = rng.normal(size=(3, 4, 2, 3)), Tensor(rng.normal(size=(5, 4)))
+        batched = ad.conv_1x1(Tensor(x), k).data
+        for i in range(3):
+            np.testing.assert_allclose(batched[i], ad.conv_1x1(Tensor(x[i]), k).data, atol=1e-14)
+
+    def test_fully_connected(self, rng):
+        self.check(
+            lambda x, w, b: weighted_total(ad.fully_connected(x, w, b), np.random.default_rng(2)),
+            [rng.normal(size=(4, 6)), rng.normal(size=(3, 6)), rng.normal(size=3)],
+        )
+
+    @pytest.mark.parametrize("kind", ["tanh", "relu", "sigmoid"])
+    def test_activations(self, rng, kind):
+        x = rng.normal(size=(3, 2, 2, 2))
+        x += np.where(x > 0, 0.1, -0.1)  # clear of the relu kink
+        self.check(
+            lambda t: weighted_total(ad.pointwise_activation(t, kind), np.random.default_rng(3)),
+            [x],
+        )
+
+    def test_softmax(self, rng):
+        self.check(
+            lambda s: weighted_total(ad.softmax_flat(s), np.random.default_rng(4)),
+            [rng.normal(size=(3, 1, 2, 3))],
+        )
+        scores = rng.normal(size=(3, 1, 2, 3))
+        batched = ad.softmax_flat(Tensor(scores)).data
+        assert batched.shape == (3, 2, 3)
+        np.testing.assert_allclose(batched.sum(axis=(1, 2)), 1.0, atol=1e-12)
+        for i in range(3):
+            np.testing.assert_allclose(
+                batched[i], ad.softmax_flat(Tensor(scores[i])).data, atol=1e-15
+            )
+
+    def test_weighted_spatial_sum_and_mean_pool(self, rng):
+        self.check(
+            lambda f, w: weighted_total(ad.weighted_spatial_sum(f, w), np.random.default_rng(5)),
+            [rng.normal(size=(3, 4, 2, 3)), rng.normal(size=(3, 2, 3))],
+        )
+        self.check(
+            lambda f: weighted_total(ad.mean_pool_spatial(f), np.random.default_rng(6)),
+            [rng.normal(size=(3, 4, 2, 3))],
+        )
+        f = rng.normal(size=(3, 4, 2, 3))
+        np.testing.assert_allclose(
+            ad.mean_pool_spatial(Tensor(f)).data, f.mean(axis=(2, 3)), atol=1e-15
+        )
+
+    def test_mul_and_concat(self, rng):
+        self.check(
+            lambda a, b: weighted_total(ad.elementwise_combine(a, b, "mul"), np.random.default_rng(7)),
+            [rng.normal(size=(3, 5)), rng.normal(size=(3, 5))],
+        )
+        self.check(
+            lambda a, b: weighted_total(
+                ad.elementwise_combine(a, b, "concat"), np.random.default_rng(8)
+            ),
+            [rng.normal(size=(3, 2)), rng.normal(size=(3, 4))],
+        )
+
+    def test_cosine(self, rng):
+        self.check(
+            lambda u, v: weighted_total(ad.cosine_similarity(u, v), np.random.default_rng(9)),
+            [rng.normal(size=(4, 6)), rng.normal(size=(4, 6))],
+        )
+        u, v = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
+        rows = ad.cosine_similarity(Tensor(u), Tensor(v)).data
+        assert rows.shape == (4,)
+        for i in range(4):
+            assert math.isclose(
+                rows[i], float(ad.cosine_similarity(Tensor(u[i]), Tensor(v[i])).data), abs_tol=1e-15
+            )
+
+    def test_cosine_degenerate_row(self, rng):
+        u = rng.normal(size=(3, 4))
+        v = rng.normal(size=(3, 4))
+        v[2] = 1e-14
+        with pytest.raises(DegenerateVectorError, match="row 2"):
+            ad.cosine_similarity(Tensor(u), Tensor(v))
+        u[1] = 0.0
+        with pytest.raises(DegenerateVectorError, match="row 1"):
+            ad.cosine_similarity(Tensor(u), Tensor(rng.normal(size=(3, 4))))
+
+    def test_matrix_column_gather_with_repeats(self, rng):
+        columns = np.array([2, 0, 2, 2, 1])
+        self.check(
+            lambda w: weighted_total(
+                ad.pointwise_activation(ad.matrix_column(w, columns), "tanh"),
+                np.random.default_rng(10),
+            ),
+            [rng.normal(size=(3, 4))],
+        )
+        w = rng.normal(size=(3, 4))
+        np.testing.assert_array_equal(ad.matrix_column(Tensor(w), columns).data, w[:, columns].T)
+
+    def test_matrix_column_repeats_accumulate(self):
+        w = Parameter(np.zeros((2, 3)), name="w")
+        tape = Tape()
+        with recording(tape):
+            loss = ad.tensor_sum(ad.matrix_column(w.tensor, np.array([1, 1, 1, 0])))
+        backward(tape, loss)
+        np.testing.assert_array_equal(w.grad, [[1.0, 3.0, 0.0], [1.0, 3.0, 0.0]])
+
+    def test_gather_indices_checked(self):
+        with pytest.raises(ContractError):
+            ad.matrix_column(Tensor(np.zeros((2, 3))), np.array([0, 3]))
+        with pytest.raises(ContractError):
+            ad.batch_item(Tensor(np.zeros((2, 3))), np.array([-1, 0]))
+        with pytest.raises(ContractError):
+            ad.batch_item(Tensor(np.zeros((2, 3))), np.array([0.0]))
+
+    def test_batch_item_gather_with_repeats(self, rng):
+        rows = np.array([3, 0, 3, 1, 3])
+        self.check(
+            lambda b: weighted_total(ad.batch_item(b, rows), np.random.default_rng(11)),
+            [rng.normal(size=(4, 2, 3))],
+        )
+        b = Parameter(np.zeros((3, 2)), name="b")
+        tape = Tape()
+        with recording(tape):
+            loss = ad.tensor_sum(ad.batch_item(b.tensor, np.array([2, 2, 0])))
+        backward(tape, loss)
+        np.testing.assert_array_equal(b.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
+
+    def test_broadcast_spatial(self, rng):
+        self.check(
+            lambda v: weighted_total(ad.broadcast_spatial(v, 2, 3), np.random.default_rng(12)),
+            [rng.normal(size=(3, 4))],
+        )
+        out = ad.broadcast_spatial(Tensor(np.arange(6.0).reshape(2, 3)), 2, 2)
+        assert out.shape == (2, 3, 2, 2)
+        np.testing.assert_array_equal(out.data[1, 2], np.full((2, 2), 5.0))
+
+    def test_rowwise_hinge_and_mean(self, rng):
+        def loss(pos, neg):
+            gap = ad.add_constant(ad.subtract(neg, pos), 0.3)
+            return ad.scalar_mean(ad.pointwise_activation(gap, "relu"))
+
+        pos = rng.uniform(-1.0, 1.0, size=6)
+        neg = rng.uniform(-1.0, 1.0, size=6)
+        neg[np.abs(neg - pos + 0.3) < 0.05] += 0.2  # clear of the relu kink
+        self.check(loss, [pos, neg])
+        expected = np.maximum(0.0, 0.3 - pos + neg).mean()
+        assert math.isclose(float(loss(Tensor(pos), Tensor(neg)).data), expected, abs_tol=1e-15)
+
+    def test_scalar_mean_rejects_non_vectors(self):
+        with pytest.raises(DimensionError):
+            ad.scalar_mean(Tensor(np.zeros((2, 2))))
+        with pytest.raises(DimensionError):
+            ad.scalar_mean(Tensor(np.zeros(0)))

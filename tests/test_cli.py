@@ -382,6 +382,38 @@ class TestTrainedPipeline:
         assert rc == 2
         assert "does not match" in capsys.readouterr().err
 
+    def data_copy(self, pipeline, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["root"] / "data", data)
+        return data, load_manifest(str(data / "manifest.txt"))
+
+    def test_eval_map_reads_only_its_split(self, pipeline, tmp_path, capsys):
+        data, manifest = self.data_copy(pipeline, tmp_path)
+        for image_id in manifest.ids("train") + manifest.ids("val"):
+            os.remove(data / "images" / f"{image_id}.ppm")
+        rc = cli.main([
+            "eval-map", "--manifest", str(data / "manifest.txt"), "--run", str(pipeline["run"]),
+            "--split", "test", "--out", str(tmp_path / "eval"),
+        ])
+        assert rc == 0
+        assert "overall MAP" in capsys.readouterr().out
+
+    def test_eval_map_still_fails_on_a_corrupt_image_of_its_split(self, pipeline, tmp_path, capsys):
+        data, manifest = self.data_copy(pipeline, tmp_path)
+        victim = manifest.ids("test")[0]
+        (data / "images" / f"{victim}.ppm").write_bytes(b"P6\n16 16\n9")
+        rc = cli.main([
+            "eval-map", "--manifest", str(data / "manifest.txt"), "--run", str(pipeline["run"]),
+            "--split", "test", "--out", str(tmp_path / "eval"),
+        ])
+        assert rc == 2
+        assert victim in capsys.readouterr().err
+
+    def test_load_images_for_restricts_to_the_named_splits(self, pipeline):
+        manifest = load_manifest(pipeline["manifest"])
+        images = cli.load_images_for(manifest, pipeline["manifest"], ("train", "val"))
+        assert sorted(images) == sorted(manifest.ids("train") + manifest.ids("val"))
+
 
 def str_cfg(tmp_path):
     path = tmp_path / "model.cfg"

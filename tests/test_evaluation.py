@@ -9,7 +9,13 @@ import pytest
 
 import oracles
 from attrembed.autodiff import Tensor
-from attrembed.errors import ContractError, DegenerateVectorError, ExcludedQueryError
+from attrembed.backbone import BackboneConfig, TinyBackbone
+from attrembed.errors import (
+    ContractError,
+    DegenerateVectorError,
+    ExcludedQueryError,
+    VocabularyError,
+)
 from attrembed.evaluation import (
     EvalReport,
     ModelScorer,
@@ -278,6 +284,39 @@ class TestModelScorer:
         images["img_0"] = np.zeros((4, 2, 2))
         with pytest.raises(DegenerateVectorError):
             scorer.unit_embedding("img_0", 0)
+
+    def test_backbone_runs_once_per_image(self, monkeypatch):
+        config = ModelConfig(
+            channels=4, n_attributes=3, attn_channels=2, reduction=2, embed_dim=4
+        )
+        backbone = BackboneConfig(kind="tiny_conv", out_channels=4, out_spatial=2, widths=(3, 4))
+        model = AttributeEmbeddingModel(config, backbone, seed=6, dtype=np.float32)
+        rng = np.random.default_rng(22)
+        images = {f"img_{i}": rng.random((3, 16, 16)).astype(np.float32) for i in range(4)}
+        calls = []
+        forward = TinyBackbone.forward
+
+        def counted(self, image):
+            calls.append(image.shape)
+            return forward(self, image)
+
+        monkeypatch.setattr(TinyBackbone, "forward", counted)
+        scorer = ModelScorer(model, images)
+        units = {(i, a): scorer.unit_embedding(i, a) for i in images for a in range(3)}
+        assert len(calls) == len(images)
+        monkeypatch.setattr(TinyBackbone, "forward", forward)
+        for (image_id, a), unit in units.items():
+            direct = model.embed_image(images[image_id], a).data
+            np.testing.assert_allclose(
+                unit, direct / np.linalg.norm(direct), rtol=0, atol=1e-6
+            )
+
+    def test_attribute_outside_vocabulary_rejected(self):
+        scorer, _, _ = self.scorer()
+        with pytest.raises(VocabularyError):
+            scorer.unit_embedding("img_0", 2)
+        with pytest.raises(VocabularyError):
+            scorer.unit_embedding("img_0", -1)
 
 
 class TestTripletAccuracy:

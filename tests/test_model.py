@@ -479,3 +479,52 @@ class TestAttentionExport:
                 ]
             )
             np.testing.assert_allclose(parsed, m.weights, rtol=1e-8)
+
+
+class TestBatchedHead:
+    """A batch of maps with per-row attributes embeds each row exactly as
+    the single-map call does."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_rows_match_single_calls(self, head_model_factory, variant):
+        model = head_model_factory(n_attributes=3, variant=variant)
+        model.parameter("mask.weight").data[...] = np.random.default_rng(1).normal(size=(3, 8))
+        maps = np.random.default_rng(14).normal(size=(5, 8, 4, 4))
+        attributes = np.array([2, 0, 2, 1, 0])
+        batched = model.embed_map(Tensor(maps), attributes).data
+        assert batched.shape == (5, 8)
+        for i, a in enumerate(attributes):
+            single = model.embed_map(Tensor(maps[i]), int(a)).data
+            np.testing.assert_allclose(batched[i], single, rtol=0, atol=1e-14)
+
+    def test_attention_rows_match_single_calls(self, head_model_factory):
+        model = head_model_factory(n_attributes=3)
+        maps = np.random.default_rng(15).normal(size=(4, 8, 4, 4))
+        attributes = np.array([1, 1, 0, 2])
+        pooled, weights = model.spatial_attention(Tensor(maps), attributes)
+        gated, gate = model.channel_attention(pooled, attributes)
+        for i, a in enumerate(attributes):
+            p, w = model.spatial_attention(Tensor(maps[i]), int(a))
+            g, c = model.channel_attention(p, int(a))
+            for got, want in ((pooled, p), (weights, w), (gated, g), (gate, c)):
+                np.testing.assert_allclose(got.data[i], want.data, rtol=0, atol=1e-14)
+
+    def test_embed_attributes_stacks_every_attribute(self, head_model_factory):
+        model = head_model_factory(n_attributes=3)
+        fmap = Tensor(np.random.default_rng(16).normal(size=(8, 4, 4)))
+        every = model.embed_attributes(fmap).data
+        assert every.shape == (3, 8)
+        for a in range(3):
+            np.testing.assert_allclose(every[a], model.embed_map(fmap, a).data, atol=1e-14)
+
+    def test_attribute_array_must_match_batch(self, head_model_factory):
+        model = head_model_factory(n_attributes=3)
+        maps = Tensor(np.zeros((4, 8, 4, 4)))
+        with pytest.raises(DimensionError):
+            model.embed_map(maps, np.array([0, 1, 2]))
+        with pytest.raises(DimensionError):
+            model.embed_map(maps, 1)
+        with pytest.raises(VocabularyError):
+            model.embed_map(maps, np.array([0, 1, 3, 2]))
+        with pytest.raises(VocabularyError):
+            model.embed_map(maps, np.array([0.0, 1.0, 1.0, 2.0]))

@@ -20,7 +20,9 @@ from attrembed.errors import (
     NumericalError,
     SamplingError,
 )
-from attrembed.model import AttributeEmbeddingModel, ModelConfig
+from attrembed import training
+from attrembed.backbone import BackboneConfig
+from attrembed.model import VARIANTS, AttributeEmbeddingModel, ModelConfig
 from attrembed.training import (
     CHECKPOINT_HEADER,
     Checkpoint,
@@ -28,6 +30,7 @@ from attrembed.training import (
     TrainConfig,
     Triplet,
     adam_step,
+    batch_triplet_loss,
     config_fingerprint,
     fit,
     load_checkpoint,
@@ -306,6 +309,88 @@ class TestTrainEpoch:
         config = TrainConfig(epochs=1, triplets_per_epoch=3, batch_size=2)
         with pytest.raises(NumericalError, match=r"batch 0.*img_2"):
             train_epoch(model, manual_triplets(), images, config, OptimizerState(), lr=1e-3)
+
+    def test_numerical_failure_in_a_later_batch_names_it(self):
+        model = tiny_model()
+        images = tiny_images(6)
+        images["img_4"] = np.full((4, 2, 2), np.nan)  # used by the third triplet only
+        config = TrainConfig(epochs=1, triplets_per_epoch=3, batch_size=2)
+        with pytest.raises(NumericalError, match=r"batch 1: .*\[\('img_0', 'img_4', 'img_3'\)\]"):
+            train_epoch(model, manual_triplets(), images, config, OptimizerState(), lr=1e-3)
+
+
+def backbone_model(variant, dtype=np.float64, seed=4):
+    config = ModelConfig(
+        channels=4, n_attributes=2, attn_channels=2, reduction=2, embed_dim=4, variant=variant
+    )
+    backbone = BackboneConfig(kind="tiny_conv", out_channels=4, out_spatial=2, widths=(3, 4))
+    return AttributeEmbeddingModel(config, backbone, seed=seed, dtype=dtype)
+
+
+def batch_gradients(model, triplets, images, margin):
+    """Loss and per-parameter gradients of one batched training graph."""
+    ids = [t.anchor_id for t in triplets] + [t.positive_id for t in triplets] + [
+        t.negative_id for t in triplets
+    ]
+    tape = Tape()
+    with recording(tape):
+        maps = model.image_to_map(Tensor(np.stack([images[i] for i in ids])))
+        loss = batch_triplet_loss(model, maps, np.array([t.attribute for t in triplets]), margin)
+    model.zero_grads()
+    ad.backward(tape, loss)
+    grads = {
+        p.name: p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
+        for p in model.parameters()
+    }
+    return float(loss.data), grads
+
+
+class TestBatchedStep:
+    """The one-graph batch step against its per-triplet definition."""
+
+    TRIPLETS = [
+        Triplet("img_0", "img_2", "img_1", 0, 0, 1),
+        Triplet("img_1", "img_3", "img_0", 1, 1, 0),
+        Triplet("img_0", "img_4", "img_3", 1, 0, 1),
+        Triplet("img_5", "img_0", "img_5", 0, 1, 1),
+        Triplet("img_2", "img_4", "img_1", 0, 0, 1),
+    ]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_batch_equals_mean_of_batches_of_one(self, variant):
+        model = backbone_model(variant)
+        model.parameter("mask.weight").data[...] = np.random.default_rng(3).uniform(
+            0.5, 1.5, size=(2, 4)
+        )
+        rng = np.random.default_rng(8)
+        images = {f"img_{i}": rng.random((3, 16, 16)) for i in range(6)}
+        loss, grads = batch_gradients(model, self.TRIPLETS, images, margin=0.6)
+        singles = [batch_gradients(model, [t], images, margin=0.6) for t in self.TRIPLETS]
+        assert any(value > 0.0 for value, _ in singles)  # some hinge is active
+        n = len(self.TRIPLETS)
+        assert math.isclose(loss, sum(value for value, _ in singles) / n, abs_tol=1e-12)
+        for name, grad in grads.items():
+            mean = sum(g[name] for _, g in singles) / n
+            np.testing.assert_allclose(grad, mean, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_full_batch_of_sixteen_records_at_most_forty_nodes(self, monkeypatch):
+        lengths = []
+
+        class CountingTape(Tape):
+            def clear(self):
+                lengths.append(len(self))
+                super().clear()
+
+        monkeypatch.setattr(training, "Tape", CountingTape)
+        model = backbone_model("full", dtype=np.float32)
+        rng = np.random.default_rng(9)
+        images = {f"img_{i}": rng.random((3, 16, 16)).astype(np.float32) for i in range(6)}
+        annotations = [(f"img_{i}", {0: i % 2, 1: i // 3}) for i in range(6)]
+        triplets = sample_triplets(annotations, 2, 32, seed=1)
+        config = TrainConfig(epochs=1, triplets_per_epoch=32, batch_size=16)
+        train_epoch(model, triplets, images, config, OptimizerState(), lr=1e-3)
+        assert len(lengths) == 2
+        assert max(lengths) <= 40
 
 
 def fit_setup(n_attributes=1):
