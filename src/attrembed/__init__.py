@@ -7,7 +7,7 @@ engine.  See the module docstrings for the individual pieces:
 
 - ``autodiff``    tensors, tape, operators, gradient checking, tensor io
 - ``backbone``    tiny strided conv feature extractor, precomputed maps
-- ``model``       attention modules, embedding variants, similarity
+- ``model``       attention modules, embedding variants, attention export
 - ``training``    triplet sampling, hinge loss, Adam, fit loop, checkpoints
 - ``evaluation``  retrieval MAP, triplet accuracy, reranking, reports
 - ``data``        synthetic quadrant dataset, manifests, splits, rasters

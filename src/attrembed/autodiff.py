@@ -27,10 +27,12 @@ switched off for throughput with :func:`set_finite_checks`.
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 import threading
 from contextlib import contextmanager
-from typing import BinaryIO, Callable, Iterable, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -87,9 +89,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -431,18 +430,6 @@ def batch_item(batch: Tensor, i) -> Tensor:
     return _emit(out, backward_fn, "batch_item")
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise dimension_error("add", a.shape, b.shape)
-    out = a.data + b.data
-
-    def backward_fn(g: np.ndarray) -> None:
-        a.accumulate_grad(g)
-        b.accumulate_grad(g)
-
-    return _emit(out, backward_fn, "add")
-
-
 def subtract(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise a - b, on scalars or row-wise on vectors."""
     if a.shape != b.shape:
@@ -465,15 +452,6 @@ def add_constant(a: Tensor, k: float) -> Tensor:
     return _emit(out, backward_fn, "add_constant")
 
 
-def scale(a: Tensor, k: float) -> Tensor:
-    out = a.data * k
-
-    def backward_fn(g: np.ndarray) -> None:
-        a.accumulate_grad(g * k)
-
-    return _emit(out, backward_fn, "scale")
-
-
 def scalar_mean(terms: Tensor) -> Tensor:
     """Mean of the entries of a nonempty vector tensor, as a scalar tensor."""
     if terms.data.ndim != 1 or terms.shape[0] == 0:
@@ -485,22 +463,6 @@ def scalar_mean(terms: Tensor) -> Tensor:
         terms.accumulate_grad(np.full_like(terms.data, g / n))
 
     return _emit(out, backward_fn, "scalar_mean")
-
-
-def scalar_sum(terms: Sequence[Tensor]) -> Tensor:
-    """Sum of scalar tensors, as a scalar tensor."""
-    if not terms:
-        raise ContractError("scalar_sum of no terms")
-    for t in terms:
-        if t.data.ndim != 0:
-            raise dimension_error("scalar_sum", t.shape)
-    out = np.asarray(sum(float(t.data) for t in terms), dtype=terms[0].dtype)
-
-    def backward_fn(g: np.ndarray) -> None:
-        for t in terms:
-            t.accumulate_grad(np.asarray(g, dtype=t.dtype))
-
-    return _emit(out, backward_fn, "scalar_sum")
 
 
 def tensor_sum(t: Tensor) -> Tensor:
@@ -664,8 +626,11 @@ def write_tensor(stream: BinaryIO, array: np.ndarray) -> None:
 
 
 def read_tensor(stream: BinaryIO) -> np.ndarray:
-    """Inverse of :func:`write_tensor`.  Errors name the failing byte offset."""
+    """Inverse of :func:`write_tensor`.  Errors name the failing byte offset;
+    a read past the stream's end fails before allocating what it claims."""
     base = stream.tell()
+    end = stream.seek(0, io.SEEK_END)
+    stream.seek(base)
     magic = stream.read(4)
     if len(magic) < 4:
         raise FormatError(f"tensor stream truncated at byte {base}: missing magic")
@@ -674,9 +639,9 @@ def read_tensor(stream: BinaryIO) -> np.ndarray:
 
     def read_exact(n: int, what: str) -> bytes:
         at = stream.tell()
-        buf = stream.read(n)
+        buf = stream.read(n) if n <= end - at else b""
         if len(buf) < n:
-            raise FormatError(f"tensor stream truncated at byte {at}: missing {what}")
+            raise FormatError(f"tensor stream truncated at byte {at}: missing {what} ({n} bytes)")
         return buf
 
     (rank,) = struct.unpack("<I", read_exact(4, "rank"))
@@ -688,8 +653,7 @@ def read_tensor(stream: BinaryIO) -> np.ndarray:
     (width,) = read_exact(1, "width flag")
     if width not in _WIDTH_DTYPES:
         raise FormatError(f"bad width flag {width} at byte {stream.tell() - 1}")
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    payload = read_exact(count * width, "tensor data")
+    payload = read_exact(math.prod(shape) * width, "tensor data")
     return np.frombuffer(payload, dtype=_WIDTH_DTYPES[width]).reshape(shape).copy()
 
 

@@ -38,6 +38,7 @@ from .data import (
 from .errors import (
     ConfigError,
     ContractError,
+    DimensionError,
     ExcludedQueryError,
     FormatError,
     SamplingError,
@@ -226,7 +227,10 @@ def load_run(run_dir: str, n_attributes: int) -> tuple[AttributeEmbeddingModel, 
             f"checkpoint hash {checkpoint.config_hash} does not match the run "
             f"configuration in {config_path}"
         )
-    model.load_state_arrays(checkpoint.state)
+    try:
+        model.load_state_arrays(checkpoint.state)
+    except (KeyError, DimensionError) as exc:
+        raise FormatError(f"checkpoint in {run_dir} does not fit its run configuration: {exc.args[0]}") from exc
     return model, checkpoint
 
 
@@ -309,7 +313,9 @@ def cmd_train(args) -> int:
     out = _outdir(args)
 
     def val_metric(m: AttributeEmbeddingModel) -> float:
-        return evaluate_map(ModelScorer(m, images), val_split).overall
+        scorer = ModelScorer(m, images)
+        scorer.embed(manifest.ids("val"))
+        return evaluate_map(scorer, val_split).overall
 
     with open(os.path.join(out, TRAIN_LOG_NAME), "w", encoding="utf-8") as log:
         log.write("epoch\tmean_loss\tlr\tval_metric\n")
@@ -341,12 +347,9 @@ def cmd_eval_map(args) -> int:
     model, checkpoint = load_run(args.run, manifest.vocabulary.n)
     images = load_images_for(manifest, args.manifest, (split_name,))
     split = manifest.to_retrieval_split(split_name)
-    report = evaluate_map(
-        ModelScorer(model, images),
-        split,
-        variant=model.config.variant,
-        checkpoint_hash=checkpoint.config_hash,
-    )
+    scorer = ModelScorer(model, images)
+    scorer.embed(manifest.ids(split_name))
+    report = evaluate_map(scorer, split, variant=model.config.variant, checkpoint_hash=checkpoint.config_hash)
     out = _outdir(args)
     write_report(os.path.join(out, "report.tsv"), [report], manifest.vocabulary.names)
     print(f"queries {report.n_queries} (excluded {report.n_excluded})")
@@ -370,6 +373,7 @@ def cmd_eval_triplet(args) -> int:
         attribute_names=manifest.vocabulary.names,
     )
     scorer = ModelScorer(model, images)
+    scorer.embed([i for t in triplets for i in (t.anchor_id, t.positive_id, t.negative_id)])
     accuracy = evaluate_triplet_accuracy(
         lambda a, b, attr: scorer.similarity(a, b, [attr]), triplets
     )
@@ -393,6 +397,8 @@ def cmd_rerank(args) -> int:
     split = manifest.to_retrieval_split(split_name)
     fine = ModelScorer(model, images)
     coarse = ModelScorer(base_model, images)
+    for scorer in (fine, coarse):
+        scorer.embed(manifest.ids(split_name))
     before, after = [], []
     out = _outdir(args)
     with open(os.path.join(out, "rerank.tsv"), "w", encoding="utf-8") as f:
@@ -404,12 +410,10 @@ def cmd_rerank(args) -> int:
             base_scores = coarse(q.image_id, q.attribute, ids)
             order = rank_candidates(base_scores, ids)
             ranking = [ids[i] for i in order]
-            use_attrs = attrs if attrs else [q.attribute]
-            reranked = rerank_topk(
-                ranking,
-                lambda c: fine.similarity(q.image_id, c, use_attrs),
-                min(k, len(ranking)),
-            )
+            top = min(k, len(ranking))
+            head = ranking[:top]
+            fine_scores = sum(fine(q.image_id, a, head) for a in attrs or [q.attribute])
+            reranked = rerank_topk(ranking, dict(zip(head, fine_scores)).__getitem__, top)
             ap_before = _topk_ap(ranking, value_of, q.value, k)
             ap_after = _topk_ap(reranked, value_of, q.value, k)
             if ap_before is None or ap_after is None:

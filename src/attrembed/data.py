@@ -339,8 +339,13 @@ def save_manifest(path, manifest: DatasetManifest) -> None:
 
 
 def load_manifest(path) -> DatasetManifest:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"line {line_no}: not UTF-8 ({exc.reason})") from None
     pos = 0
 
     def need_line(what: str) -> str:
@@ -371,7 +376,7 @@ def load_manifest(path) -> DatasetManifest:
     except ConfigError as exc:
         raise FormatError(f"line {pos}: {exc}") from exc
     count_parts = need_line("records count").split()
-    if len(count_parts) != 2 or count_parts[0] != "records" or not count_parts[1].isdigit():
+    if len(count_parts) != 2 or count_parts[0] != "records" or not count_parts[1].isdecimal():
         raise FormatError(f"line {pos}: malformed records count")
     n_records = int(count_parts[1])
     records: list[AnnotationRecord] = []
@@ -405,8 +410,11 @@ def load_manifest(path) -> DatasetManifest:
         parts = need_line("splits line").split()
         if len(parts) != 6 or parts[4] != "query_fraction":
             raise FormatError(f"line {pos}: malformed splits line")
-        ratios = (float(parts[1]), float(parts[2]), float(parts[3]))
-        query_fraction = float(parts[5])
+        try:
+            ratios = (float(parts[1]), float(parts[2]), float(parts[3]))
+            query_fraction = float(parts[5])
+        except ValueError:
+            raise FormatError(f"line {pos}: splits line needs numbers") from None
         known = {r.image_id for r in records}
         for _ in range(n_records):
             parts = need_line("split assignment").split()

@@ -103,9 +103,9 @@ Scorer = Callable[[str, int, Sequence[str]], np.ndarray]
 def rank_candidates(
     scores: np.ndarray, candidate_ids: Sequence[str]
 ) -> list[int]:
-    """Indices ordering candidates by descending score, ids ascending on ties."""
-    order = sorted(range(len(candidate_ids)), key=lambda i: (-scores[i], candidate_ids[i]))
-    return order
+    """Indices ordering candidates by descending score, ids ascending on ties.
+    The ids stay Python strings: a numpy string array drops trailing NULs."""
+    return np.lexsort((np.array(candidate_ids, dtype=object), -np.asarray(scores))).tolist()
 
 
 def evaluate_map(scorer: Scorer, split: RetrievalSplit, variant: str = "", checkpoint_hash: str = "") -> EvalReport:
@@ -170,57 +170,90 @@ def expected_random_map(split: RetrievalSplit) -> float:
 # -- model adapters ---------------------------------------------------------
 
 
-class ModelScorer:
-    """Cosine scorer over cached unit-normalized model embeddings.
+# Images embedded per backbone and head call: the 3 x 16 images of a
+# training batch, so evaluation peaks no higher in memory than training.
+EMBED_CHUNK = 48
 
-    The first lookup of an image runs the backbone on it once and embeds
-    the feature map under every attribute in one batched head call; every
-    (image, attribute) embedding is then reused across queries, candidates,
-    and triplet evaluation.
+
+class ModelScorer:
+    """Cosine scorer over one float64 array of unit embeddings, shape
+    (images, attributes, d), with one row per image embedded so far.
+
+    Each call first embeds the ids not yet seen, EMBED_CHUNK images per
+    backbone pass and head call.  A near-zero or non-finite embedding is
+    stored as NaN and refused as degenerate only when a score needs it.
     """
 
     def __init__(self, model: AttributeEmbeddingModel, images: Mapping[str, np.ndarray]):
         self.model = model
         self.images = images
-        self._cache: dict[tuple[str, int], np.ndarray] = {}
+        self._row: dict[str, int] = {}
+        self._units = np.empty((0, model.config.n_attributes, model.config.embed_dim))
 
-    def unit_embedding(self, image_id: str, attribute: int) -> np.ndarray:
-        key = (image_id, attribute)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+    def _check_attribute(self, attribute: int) -> None:
         if not 0 <= attribute < self.model.config.n_attributes:
             raise VocabularyError(
                 f"attribute index {attribute} outside vocabulary of {self.model.config.n_attributes}"
             )
-        image = Tensor(np.asarray(self.images[image_id], dtype=self.model.dtype))
-        vectors = self.model.embed_attributes(self.model.image_to_map(image)).data
-        norms = np.linalg.norm(vectors, axis=1)
-        for a, (vec, norm) in enumerate(zip(vectors, norms)):
-            if norm >= 1e-12:  # degenerate rows stay uncached and raise when asked for
-                self._cache[(image_id, a)] = (vec / norm).astype(np.float64)
-        if norms[attribute] < 1e-12:
-            raise DegenerateVectorError(
-                f"embedding of {image_id!r} under attribute {attribute} has near-zero norm"
-            )
-        return self._cache[key]
+
+    def embed(self, image_ids: Sequence[str]) -> None:
+        """Embed the named images the array lacks.  Scores embed what they
+        need on demand; naming a whole split first embeds it in full chunks."""
+        new = [i for i in dict.fromkeys(image_ids) if i not in self._row]
+        start = len(self._row)
+        self._units = np.concatenate([self._units, np.empty((len(new), *self._units.shape[1:]))])
+        for lo in range(0, len(new), EMBED_CHUNK):
+            chunk = new[lo : lo + EMBED_CHUNK]
+            batch = Tensor(np.stack([np.asarray(self.images[i], dtype=self.model.dtype) for i in chunk]))
+            vectors = self.model.embed_attributes(self.model.image_to_map(batch)).data.astype(np.float64)
+            norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
+            ok = np.isfinite(norms) & (norms >= 1e-12)
+            rows = slice(start + lo, start + lo + len(chunk))
+            self._units[rows] = np.nan
+            np.divide(vectors, norms, out=self._units[rows], where=ok)
+            self._row.update(zip(chunk, range(rows.start, rows.stop)))
+
+    def _rows(self, image_ids: Sequence[str]) -> list[int]:
+        rows = list(map(self._row.get, image_ids))
+        if None in rows:
+            self.embed(image_ids)
+            rows = list(map(self._row.get, image_ids))
+        return rows
+
+    def _degenerate(self, image_ids: Sequence[str], attribute: int) -> DegenerateVectorError:
+        bad = next(i for i in image_ids if np.isnan(self._units[self._row[i], attribute, 0]))
+        return DegenerateVectorError(
+            f"embedding of {bad!r} under attribute {attribute} has near-zero norm or is not finite"
+        )
+
+    def unit_embedding(self, image_id: str, attribute: int) -> np.ndarray:
+        self(image_id, attribute, [])  # embeds the image and refuses a degenerate row
+        return self._units[self._row[image_id], attribute]
 
     def __call__(self, query_id: str, attribute: int, candidate_ids: Sequence[str]) -> np.ndarray:
-        q = self.unit_embedding(query_id, attribute)
-        return np.array(
-            [float(q @ self.unit_embedding(c, attribute)) for c in candidate_ids]
-        )
+        self._check_attribute(attribute)
+        ids = [query_id, *candidate_ids]
+        rows = self._rows(ids)  # before reading self._units, which embedding replaces
+        vectors = self._units[rows, attribute]
+        if np.isnan(vectors[:, 0]).any():
+            raise self._degenerate(ids, attribute)
+        return vectors[1:] @ vectors[0]
 
     def similarity(self, id_a: str, id_b: str, attributes: Sequence[int]) -> float:
         """Fine-grained similarity: summed per-attribute cosines."""
         if not attributes:
             raise ContractError("similarity needs at least one attribute")
-        return float(
-            sum(
-                self.unit_embedding(id_a, a) @ self.unit_embedding(id_b, a)
-                for a in attributes
-            )
-        )
+        row_a, row_b = self._row.get(id_a), self._row.get(id_b)
+        if row_a is None or row_b is None:
+            row_a, row_b = self._rows([id_a, id_b])
+        total = 0.0
+        for a in attributes:
+            self._check_attribute(a)
+            cosine = float(self._units[row_a, a] @ self._units[row_b, a])
+            if cosine != cosine:
+                raise self._degenerate([id_a, id_b], a)
+            total += cosine
+        return total
 
 
 def evaluate_triplet_accuracy(

@@ -364,31 +364,19 @@ class AttributeEmbeddingModel:
         return self.embed_map(self.image_to_map(x), attribute)
 
     def embed_attributes(self, feature_map: Tensor) -> Tensor:
-        """Embeddings of one (c, h, w) map under every attribute, as an
-        (n_attributes, d) tensor from one batched head call.  For inference:
-        the per-attribute copies of the map are made off the tape."""
-        return self.embed_map(*self._per_attribute(feature_map))
+        """Embeddings of a (c, h, w) map under every attribute, (n_attributes,
+        d), or of each map of an (m, c, h, w) batch, (m, n_attributes, d), from
+        one head call.  For inference: the result is detached from any tape."""
+        out = self.embed_map(*self._per_attribute(feature_map))
+        return Tensor(out.data.reshape(*feature_map.shape[:-3], self.config.n_attributes, -1))
 
     def _per_attribute(self, feature_map: Tensor) -> tuple[Tensor, np.ndarray]:
         self._check_map(feature_map, "per-attribute batch")
         n = self.config.n_attributes
-        copies = np.broadcast_to(feature_map.data, (n, *feature_map.shape)).copy()
-        return Tensor(copies), np.arange(n)
+        maps = feature_map.data.reshape(-1, *feature_map.shape[-3:])
+        return Tensor(np.repeat(maps, n, axis=0)), np.tile(np.arange(n), len(maps))
 
-    # -- similarity and attention export ------------------------------------
-
-    def similarity(self, map_a: Tensor, map_b: Tensor, attributes: Sequence[int]) -> Tensor:
-        """Fine-grained similarity: sum over the given attributes of the
-        cosine between the two embeddings in that attribute's space."""
-        if len(attributes) == 0:
-            raise ConfigError("similarity needs at least one attribute")
-        terms = [
-            ad.cosine_similarity(self.embed_map(map_a, a), self.embed_map(map_b, a))
-            for a in sorted(attributes)
-        ]
-        if len(terms) == 1:
-            return terms[0]
-        return ad.scalar_sum(terms)
+    # -- attention export -----------------------------------------------------
 
     def attention_maps(self, feature_map: Tensor, image_id: str = "") -> list[AttentionMap]:
         """Spatial attention weights for every attribute, as plain arrays."""

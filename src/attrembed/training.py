@@ -306,29 +306,31 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
 
 
 def _read_line(f) -> str:
-    raw = bytearray()
-    while True:
-        b = f.read(1)
-        if not b:
-            raise FormatError("checkpoint truncated inside a text line")
-        if b == b"\n":
-            break
-        raw += b
-    return raw.decode("utf-8")
+    at = f.tell()
+    raw = f.readline()
+    if not raw.endswith(b"\n"):
+        raise FormatError("checkpoint truncated inside a text line")
+    try:
+        return raw[:-1].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"checkpoint text line at byte {at} is not UTF-8: {exc.reason}") from None
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
         if _read_line(f) != CHECKPOINT_HEADER:
             raise FormatError(f"not a checkpoint file: {path}")
-        header: dict[str, str] = {}
-        for _ in range(4):
+        header: dict = {}
+        for line_no in range(2, 6):
             key, _, value = _read_line(f).partition(" ")
-            header[key] = value
+            try:
+                header[key] = {"epoch": int, "metric": float, "params": int}.get(key, str)(value)
+            except ValueError:
+                raise FormatError(f"checkpoint line {line_no}: bad {key} value {value!r}") from None
         for key in ("config_hash", "epoch", "metric", "params"):
             if key not in header:
                 raise FormatError(f"checkpoint header missing {key!r}")
-        n_params = int(header["params"])
+        n_params = header["params"]
         state: dict[str, np.ndarray] = {}
         for _ in range(n_params):
             name = _read_line(f)
@@ -339,8 +341,8 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError("trailing bytes after final checkpoint tensor")
     return Checkpoint(
         config_hash=header["config_hash"],
-        epoch=int(header["epoch"]),
-        metric=float(header["metric"]),
+        epoch=header["epoch"],
+        metric=header["metric"],
         state=state,
     )
 

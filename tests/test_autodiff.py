@@ -138,17 +138,13 @@ class TestOperatorValues:
         np.testing.assert_allclose(ad.batch_item(batch, 2).data, [8.0, 9.0, 10.0, 11.0])
 
     def test_scalar_reducers(self):
-        terms = [Tensor(np.asarray(v)) for v in (1.0, 2.0, 6.0)]
         assert float(ad.scalar_mean(Tensor([1.0, 2.0, 6.0])).data) == 3.0
-        assert float(ad.scalar_sum(terms).data) == 9.0
         assert float(ad.tensor_sum(Tensor([[1.0, 2.0], [3.0, 4.0]])).data) == 10.0
 
     def test_arithmetic(self):
         a, b = Tensor([3.0]), Tensor([1.0])
-        np.testing.assert_allclose(ad.add(a, b).data, [4.0])
         np.testing.assert_allclose(ad.subtract(a, b).data, [2.0])
         np.testing.assert_allclose(ad.add_constant(a, 0.5).data, [3.5])
-        np.testing.assert_allclose(ad.scale(a, -2.0).data, [-6.0])
 
 
 class TestOperatorGradients:
@@ -238,11 +234,11 @@ class TestOperatorGradients:
         self.check(loss, [rng.normal(size=(3, 5))])
 
     def test_fan_out_accumulation(self):
-        # y = x added to itself: dy/dx = 2 exactly
+        # y = sum of x concatenated with itself: dy/dx = 2 exactly
         p = Parameter(np.array([3.0]), name="x")
         tape = Tape()
         with recording(tape):
-            y = ad.tensor_sum(ad.add(p.tensor, p.tensor))
+            y = ad.tensor_sum(ad.elementwise_combine(p.tensor, p.tensor, "concat"))
         backward(tape, y)
         np.testing.assert_array_equal(p.grad, [2.0])
 
@@ -286,22 +282,22 @@ class TestInvariants:
 
 class TestTapeMechanics:
     def test_no_recording_outside_context(self):
-        out = ad.add(Tensor([1.0]), Tensor([2.0]))
+        out = ad.subtract(Tensor([1.0]), Tensor([2.0]))
         assert out.node_id is None
 
     def test_nested_recording_restores_previous(self):
         outer, inner = Tape(), Tape()
         with recording(outer):
-            ad.add(Tensor([1.0]), Tensor([1.0]))
+            ad.subtract(Tensor([1.0]), Tensor([1.0]))
             with recording(inner):
-                ad.add(Tensor([2.0]), Tensor([2.0]))
-            ad.add(Tensor([3.0]), Tensor([3.0]))
+                ad.subtract(Tensor([2.0]), Tensor([2.0]))
+            ad.subtract(Tensor([3.0]), Tensor([3.0]))
         assert len(outer) == 2 and len(inner) == 1
 
     def test_backward_rejects_nonscalar(self):
         tape = Tape()
         with recording(tape):
-            out = ad.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
+            out = ad.subtract(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
         with pytest.raises(ContractError):
             backward(tape, out)
 
@@ -313,16 +309,16 @@ class TestTapeMechanics:
     def test_backward_rejects_foreign_loss(self):
         tape_a, tape_b = Tape(), Tape()
         with recording(tape_a):
-            loss = ad.scalar_sum([Tensor(np.asarray(1.0)), Tensor(np.asarray(2.0))])
+            loss = ad.scalar_mean(Tensor([1.0, 2.0]))
         with recording(tape_b):
-            ad.scalar_sum([Tensor(np.asarray(3.0)), Tensor(np.asarray(4.0))])
+            ad.scalar_mean(Tensor([3.0, 4.0]))
         with pytest.raises(ContractError):
             backward(tape_b, loss)
 
     def test_clear_empties_tape(self):
         tape = Tape()
         with recording(tape):
-            ad.add(Tensor([1.0]), Tensor([1.0]))
+            ad.subtract(Tensor([1.0]), Tensor([1.0]))
         tape.clear()
         assert len(tape) == 0
 
@@ -332,9 +328,9 @@ class TestTapeMechanics:
         try:
             with np.errstate(over="ignore"):
                 with pytest.raises(NumericalError):
-                    ad.scale(big, 10.0)  # overflows to inf
+                    ad.add_constant(big, 1e308)  # overflows to inf
                 ad.set_finite_checks(False)
-                out = ad.scale(big, 10.0)
+                out = ad.add_constant(big, 1e308)
             assert np.isinf(out.data[0])
         finally:
             ad.set_finite_checks(previous)

@@ -16,7 +16,7 @@ import pytest
 from attrembed import cli, errors
 from attrembed.cli import UsageError, read_config_file, resolve, _get, _parse_attrs, _topk_ap
 from attrembed.data import load_manifest
-from attrembed.training import load_checkpoint
+from attrembed.training import load_checkpoint, save_checkpoint
 
 
 # Sizing keys have no command line flags on purpose; they ride in a config
@@ -381,6 +381,32 @@ class TestTrainedPipeline:
         ])
         assert rc == 2
         assert "does not match" in capsys.readouterr().err
+
+    def eval_map_on_a_tampered_checkpoint(self, pipeline, tmp_path, tamper):
+        copy = tmp_path / "tampered"
+        shutil.copytree(pipeline["run"], copy)
+        tamper(copy / "checkpoint.bin")
+        return cli.main(["eval-map", "--manifest", pipeline["manifest"], "--run", str(copy), "--out", str(tmp_path)])
+
+    def test_checkpoint_with_non_utf8_header_is_a_data_error(self, pipeline, tmp_path, capsys):
+        def tamper(path):
+            path.write_bytes(path.read_bytes().replace(b"config_hash ", b"config_hash \xff", 1))
+
+        assert self.eval_map_on_a_tampered_checkpoint(pipeline, tmp_path, tamper) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", ["drop", "reshape"])
+    def test_checkpoint_state_mismatch_is_a_data_error(self, pipeline, tmp_path, capsys, change):
+        def tamper(path):
+            checkpoint = load_checkpoint(path)
+            if change == "drop":
+                del checkpoint.state["proj.bias"]
+            else:
+                checkpoint.state["proj.bias"] = checkpoint.state["proj.bias"][:-1]
+            save_checkpoint(path, checkpoint)
+
+        assert self.eval_map_on_a_tampered_checkpoint(pipeline, tmp_path, tamper) == 2
+        assert "does not fit" in capsys.readouterr().err
 
     def data_copy(self, pipeline, tmp_path):
         data = tmp_path / "data"

@@ -322,6 +322,29 @@ class TestManifestIO:
         with pytest.raises(FormatError, match="line 2"):
             load_manifest(path)
 
+    def test_non_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.manifest"
+        path.write_bytes(f"{MANIFEST_HEADER}\nsource raster images\nattribute \xff a b\n".encode("latin-1"))
+        with pytest.raises(FormatError, match="line 3"):
+            load_manifest(path)
+
+    def test_non_numeric_splits_line(self, tmp_path):
+        manifest = self.sample_manifest(with_splits=True)
+        path = tmp_path / "data.manifest"
+        save_manifest(path, manifest)
+        text = path.read_text()
+        path.write_text(text.replace("splits 8 2 2", "splits 8 two 2"))
+        line_no = text.splitlines().index("splits 8 2 2 query_fraction 0.5") + 1
+        with pytest.raises(FormatError, match=f"line {line_no}"):
+            load_manifest(path)
+
+    def test_superscript_record_count(self, tmp_path):
+        path = self.write_lines(
+            tmp_path, [MANIFEST_HEADER, "source raster images", "attribute a x y", "records \u00b2"]
+        )
+        with pytest.raises(FormatError, match="line 4"):
+            load_manifest(path)
+
     def test_empty_vocabulary(self, tmp_path):
         path = self.write_lines(
             tmp_path, [MANIFEST_HEADER, "source raster images", "records 0"]

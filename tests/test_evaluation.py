@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
+from attrembed import autodiff as ad
 from attrembed.autodiff import Tensor
 from attrembed.backbone import BackboneConfig, TinyBackbone
 from attrembed.errors import (
@@ -17,6 +20,7 @@ from attrembed.errors import (
     VocabularyError,
 )
 from attrembed.evaluation import (
+    EMBED_CHUNK,
     EvalReport,
     ModelScorer,
     Query,
@@ -30,8 +34,9 @@ from attrembed.evaluation import (
     rerank_topk,
     write_report,
 )
-from attrembed.model import AttributeEmbeddingModel, ModelConfig
+from attrembed.model import VARIANTS, AttributeEmbeddingModel, ModelConfig
 from attrembed.training import Triplet
+from test_model import EXPECTED_SIMILARITY, pencil_maps, pencil_model
 
 
 class TestAveragePrecision:
@@ -96,6 +101,19 @@ class TestRankCandidates:
     def test_full_tie_falls_back_to_id_order(self):
         order = rank_candidates(np.zeros(4), ["d", "b", "c", "a"])
         assert order == [3, 1, 2, 0]
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0.0, -0.0, 0.25, -0.25, 1.0]), st.text(max_size=3)),
+            max_size=12,
+            unique_by=lambda pair: pair[1],
+        )
+    )
+    def test_matches_sort_by_descending_score_then_id(self, pairs):
+        scores = [s for s, _ in pairs]
+        ids = [i for _, i in pairs]
+        want = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
+        assert rank_candidates(np.array(scores), ids) == want
 
 
 def random_split_and_scores(rng):
@@ -240,9 +258,9 @@ class TestEvaluateMap:
 
 
 class TestModelScorer:
-    def scorer(self, variant="full"):
+    def scorer(self, variant="full", n_attributes=2):
         config = ModelConfig(
-            channels=4, n_attributes=2, attn_channels=2, reduction=2, embed_dim=4,
+            channels=4, n_attributes=n_attributes, attn_channels=2, reduction=2, embed_dim=4,
             variant=variant,
         )
         model = AttributeEmbeddingModel(config, backbone_config=None, seed=3)
@@ -250,11 +268,15 @@ class TestModelScorer:
         images = {f"img_{i}": rng.normal(size=(4, 2, 2)) for i in range(5)}
         return ModelScorer(model, images), model, images
 
-    def test_embeddings_are_unit_and_cached(self):
-        scorer, _, _ = self.scorer()
+    def test_embeddings_are_unit_and_cached(self, monkeypatch):
+        scorer, model, _ = self.scorer()
+        passes = []
+        embed = model.embed_attributes
+        monkeypatch.setattr(model, "embed_attributes", lambda maps: passes.append(maps.shape) or embed(maps))
         u = scorer.unit_embedding("img_0", 1)
         assert math.isclose(float(np.linalg.norm(u)), 1.0, abs_tol=1e-12)
-        assert scorer.unit_embedding("img_0", 1) is u
+        np.testing.assert_array_equal(scorer.unit_embedding("img_0", 1), u)
+        assert len(passes) == 1
 
     def test_scores_are_pairwise_cosines(self):
         scorer, model, images = self.scorer()
@@ -279,11 +301,41 @@ class TestModelScorer:
         with pytest.raises(ContractError):
             scorer.similarity("img_1", "img_3", [])
 
+    def test_self_similarity_is_attribute_count(self):
+        scorer, _, _ = self.scorer(n_attributes=3)
+        assert math.isclose(scorer.similarity("img_2", "img_2", [0, 1, 2]), 3.0, abs_tol=1e-12)
+
+    def test_attribute_order_irrelevant(self):
+        scorer, _, _ = self.scorer(n_attributes=3)
+        assert scorer.similarity("img_1", "img_4", [2, 0]) == scorer.similarity("img_1", "img_4", [0, 2])
+
+    def test_similarity_reproduces_the_hand_worked_chain(self):
+        map_a, map_b = pencil_maps()
+        scorer = ModelScorer(pencil_model(), {"a": map_a.data, "b": map_b.data})
+        assert math.isclose(scorer.similarity("a", "b", [0, 1]), EXPECTED_SIMILARITY, abs_tol=1e-9)
+
     def test_zero_embedding_rejected(self):
+        # fresh init has a zero projection bias, so a zero map embeds to the
+        # zero vector under triplet_plain
         scorer, _, images = self.scorer(variant="triplet_plain")
         images["img_0"] = np.zeros((4, 2, 2))
         with pytest.raises(DegenerateVectorError):
             scorer.unit_embedding("img_0", 0)
+        with pytest.raises(DegenerateVectorError, match="img_0"):
+            scorer.similarity("img_1", "img_0", [0])
+        with pytest.raises(DegenerateVectorError, match="img_0"):
+            scorer("img_1", 0, ["img_2", "img_0"])
+        assert scorer("img_1", 0, ["img_2"]).shape == (1,)
+
+    def test_non_finite_embedding_rejected_as_degenerate(self):
+        scorer, _, images = self.scorer()
+        images["a"] = np.full((4, 2, 2), np.nan)
+        previous = ad.set_finite_checks(False)
+        try:
+            with pytest.raises(DegenerateVectorError, match="'a'"):
+                scorer("img_1", 0, ["a"])
+        finally:
+            ad.set_finite_checks(previous)
 
     def test_backbone_runs_once_per_image(self, monkeypatch):
         config = ModelConfig(
@@ -294,17 +346,17 @@ class TestModelScorer:
         rng = np.random.default_rng(22)
         images = {f"img_{i}": rng.random((3, 16, 16)).astype(np.float32) for i in range(4)}
         calls = []
-        forward = TinyBackbone.forward
+        forward_batch = TinyBackbone.forward_batch
 
-        def counted(self, image):
-            calls.append(image.shape)
-            return forward(self, image)
+        def counted(self, batch):
+            calls.append(batch.shape[0])
+            return forward_batch(self, batch)
 
-        monkeypatch.setattr(TinyBackbone, "forward", counted)
+        monkeypatch.setattr(TinyBackbone, "forward_batch", counted)
         scorer = ModelScorer(model, images)
         units = {(i, a): scorer.unit_embedding(i, a) for i in images for a in range(3)}
-        assert len(calls) == len(images)
-        monkeypatch.setattr(TinyBackbone, "forward", forward)
+        assert sum(calls) == len(images)
+        monkeypatch.setattr(TinyBackbone, "forward_batch", forward_batch)
         for (image_id, a), unit in units.items():
             direct = model.embed_image(images[image_id], a).data
             np.testing.assert_allclose(
@@ -317,6 +369,52 @@ class TestModelScorer:
             scorer.unit_embedding("img_0", 2)
         with pytest.raises(VocabularyError):
             scorer.unit_embedding("img_0", -1)
+
+    @staticmethod
+    def backbone_model(variant="full", n_images=EMBED_CHUNK + 5):
+        config = ModelConfig(
+            channels=4, n_attributes=3, attn_channels=2, reduction=2, embed_dim=4, variant=variant
+        )
+        backbone = BackboneConfig(kind="tiny_conv", out_channels=4, out_spatial=2, widths=(3, 4))
+        model = AttributeEmbeddingModel(config, backbone, seed=8, dtype=np.float64)
+        model.parameter("mask.weight").data[...] = np.random.default_rng(2).normal(size=(3, 4))
+        rng = np.random.default_rng(23)
+        images = {f"img_{i:03d}": rng.random((3, 16, 16)) for i in range(n_images)}
+        return model, images
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_batched_scores_match_embed_image_across_chunks(self, variant):
+        model, images = self.backbone_model(variant)
+        ids = sorted(images)
+        scorer = ModelScorer(model, images)
+        for a in range(3):
+            unit = {i: model.embed_image(images[i], a).data for i in ids}
+            unit = {i: v / np.linalg.norm(v) for i, v in unit.items()}
+            want = [float(unit[ids[-1]] @ unit[c]) for c in ids[:-1]]
+            np.testing.assert_allclose(scorer(ids[-1], a, ids[:-1]), want, rtol=0, atol=1e-6)
+            assert math.isclose(scorer.similarity(ids[0], ids[-1], [a]), want[0], abs_tol=1e-6)
+
+    def test_scoring_runs_the_backbone_once_per_chunk(self, monkeypatch):
+        model, images = self.backbone_model(n_images=2 * EMBED_CHUNK + 4)
+        ids = sorted(images)
+        batches = []
+        forward_batch = TinyBackbone.forward_batch
+
+        def counted(self, batch):
+            batches.append(batch.shape[0])
+            return forward_batch(self, batch)
+
+        def refused(self, image):
+            raise AssertionError("single-image backbone pass")
+
+        monkeypatch.setattr(TinyBackbone, "forward_batch", counted)
+        monkeypatch.setattr(TinyBackbone, "forward", refused)
+        scorer = ModelScorer(model, images)
+        scorer(ids[0], 0, ids[1:])
+        assert batches == [EMBED_CHUNK, EMBED_CHUNK, 4]
+        scorer(ids[1], 2, ids[:1] + ids[2:])
+        scorer.similarity(ids[5], ids[7], [0, 1, 2])
+        assert len(batches) == math.ceil(len(ids) / EMBED_CHUNK)
 
 
 class TestTripletAccuracy:

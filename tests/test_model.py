@@ -17,6 +17,7 @@ from attrembed.autodiff import Tensor
 from attrembed.backbone import BackboneConfig
 from attrembed.errors import (
     ConfigError,
+    ContractError,
     DegenerateVectorError,
     DimensionError,
     VocabularyError,
@@ -28,6 +29,7 @@ from attrembed.model import (
     ModelConfig,
     write_attention_file,
 )
+from attrembed.evaluation import ModelScorer
 
 PENCIL_STATE = {
     "spatial.map_conv.weight": np.array(oracles.PENCIL_PARAMS["map_conv"]),
@@ -135,8 +137,11 @@ class TestHandChain:
     def test_similarity_sums_per_attribute_cosines(self):
         model = pencil_model()
         map_a, map_b = pencil_maps()
-        sim = model.similarity(map_a, map_b, [0, 1])
-        assert math.isclose(float(sim.data), EXPECTED_SIMILARITY, abs_tol=1e-9)
+        sim = sum(
+            float(ad.cosine_similarity(model.embed_map(map_a, a), model.embed_map(map_b, a)).data)
+            for a in (0, 1)
+        )
+        assert math.isclose(sim, EXPECTED_SIMILARITY, abs_tol=1e-9)
 
     def test_agrees_with_oracle_on_random_configs(self):
         # same chain, different weights and a non-square map
@@ -416,35 +421,24 @@ class TestModelAttentionProperties:
 
 
 class TestSimilarityContract:
-    def test_self_similarity_is_attribute_count(self, head_model_factory):
-        model = head_model_factory(n_attributes=3)
-        fmap = Tensor(np.random.default_rng(9).normal(size=(8, 4, 4)))
-        sim = model.similarity(fmap, fmap, [0, 1, 2])
-        assert math.isclose(float(sim.data), 3.0, abs_tol=1e-12)
-
-    def test_attribute_order_irrelevant(self, head_model_factory):
-        model = head_model_factory(n_attributes=3)
-        rng = np.random.default_rng(10)
-        a = Tensor(rng.normal(size=(8, 4, 4)))
-        b = Tensor(rng.normal(size=(8, 4, 4)))
-        assert float(model.similarity(a, b, [2, 0]).data) == float(
-            model.similarity(a, b, [0, 2]).data
-        )
-
+    # the model's similarity is scored through ModelScorer, the one
+    # similarity path; the symmetric, order and self cases live beside it
     def test_needs_at_least_one_attribute(self, head_model_factory):
         model = head_model_factory()
-        fmap = Tensor(np.zeros((8, 4, 4)))
-        with pytest.raises(ConfigError):
-            model.similarity(fmap, fmap, [])
+        scorer = ModelScorer(model, {"a": np.zeros((8, 4, 4))})
+        with pytest.raises(ContractError):
+            scorer.similarity("a", "a", [])
 
     def test_zero_embedding_refused(self, head_model_factory):
         # fresh init has a zero projection bias, so a zero map embeds to the
         # zero vector under triplet_plain and cosine must refuse it
         model = head_model_factory(variant="triplet_plain")
-        zero = Tensor(np.zeros((8, 4, 4)))
-        other = Tensor(np.random.default_rng(11).normal(size=(8, 4, 4)))
-        with pytest.raises(DegenerateVectorError):
-            model.similarity(zero, other, [0])
+        images = {
+            "zero": np.zeros((8, 4, 4)),
+            "other": np.random.default_rng(11).normal(size=(8, 4, 4)),
+        }
+        with pytest.raises(DegenerateVectorError, match="zero"):
+            ModelScorer(model, images).similarity("zero", "other", [0])
 
 
 class TestAttentionExport:
@@ -516,6 +510,9 @@ class TestBatchedHead:
         assert every.shape == (3, 8)
         for a in range(3):
             np.testing.assert_allclose(every[a], model.embed_map(fmap, a).data, atol=1e-14)
+        batch = model.embed_attributes(Tensor(np.stack([2.0 * fmap.data, fmap.data]))).data
+        assert batch.shape == (2, 3, 8)
+        np.testing.assert_allclose(batch[1], every, rtol=0, atol=1e-14)
 
     def test_attribute_array_must_match_batch(self, head_model_factory):
         model = head_model_factory(n_attributes=3)

@@ -106,6 +106,11 @@ class TestRejection:
         with pytest.raises(FormatError, match="truncated"):
             read_tensor(io.BytesIO(blob))
 
+    def test_huge_extents_refused_before_reading(self):
+        buf = io.BytesIO(MAGIC + struct.pack("<5I", 4, *[0xFFFFFFF0] * 4) + bytes([8]) + b"\x00" * 64)
+        with pytest.raises(FormatError, match="truncated at byte 25"):
+            read_tensor(buf)
+
     def test_offset_in_second_tensor(self):
         buf = io.BytesIO()
         write_tensor(buf, np.arange(2.0))

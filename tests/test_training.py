@@ -7,6 +7,7 @@ in the acceptance suite.
 
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -525,6 +526,31 @@ class TestCheckpointFiles:
     def test_truncation_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(f"{CHECKPOINT_HEADER}\nconfig_hash x".encode())
+        with pytest.raises(FormatError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_non_utf8_line_names_its_offset(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(f"{CHECKPOINT_HEADER}\n".encode() + b"config_hash \xff\n")
+        with pytest.raises(FormatError, match=f"byte {len(CHECKPOINT_HEADER) + 1}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("line_no,bad", [(3, "epoch 1.5"), (4, "metric 0}5"), (5, "params two")])
+    def test_unparsable_header_number_names_its_line(self, tmp_path, line_no, bad):
+        lines = [CHECKPOINT_HEADER, "config_hash x", "epoch 1", "metric 0.5", "params 0"]
+        lines[line_no - 1] = bad
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(("\n".join(lines) + "\n").encode())
+        with pytest.raises(FormatError, match=f"line {line_no}"):
+            load_checkpoint(path)
+
+    def test_corrupted_extent_fails_as_truncation(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, self.sample_checkpoint())
+        blob = bytearray(path.read_bytes())
+        first_extent = blob.index(ad.MAGIC) + 8
+        blob[first_extent : first_extent + 4] = struct.pack("<I", 0xFFFFFFF0)
+        path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="truncated"):
             load_checkpoint(path)
 
